@@ -206,8 +206,12 @@ def squeezed_variant(n_in: int, m_out: CopyCount, r: float) -> ClonerSpec:
         raise DomainError(f"squeezing parameter must be finite, got {r!r}")
     if r == 0 or base.var_x == 0:
         return ClonerSpec(n_in, m_out, base)
-    var_x = Fraction(float(base.var_x) * math.exp(2.0 * r))
-    var_p = Fraction(base.var_x) ** 2 / var_x
+    try:
+        var_x = Fraction(float(base.var_x) * math.exp(2.0 * r))
+        var_p = Fraction(base.var_x) ** 2 / var_x
+        float(var_p)  # every reader of the noise takes it as a float
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"squeezing r={r} takes the noise out of the float range") from None
     return ClonerSpec(n_in, m_out, NoiseCovariance(var_x, var_p))
 
 

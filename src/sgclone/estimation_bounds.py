@@ -170,6 +170,13 @@ def _sample_report(x: np.ndarray, p: np.ndarray, samples: int, seed: int) -> Var
     )
 
 
+def _check_run(samples: int, seed: int) -> None:
+    if samples < 2:
+        raise DomainError("need at least 2 samples")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def simulate_joint_measurement(
     noise_var, center: CoherentState, samples: int, seed: int
 ) -> VarianceReport:
@@ -182,10 +189,9 @@ def simulate_joint_measurement(
     clones' displacements are drawn independently: only the single-clone
     marginals are modeled, and the measured variances involve nothing else.
     """
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
-    if noise_var < 0:
-        raise DomainError("cloning noise cannot be negative")
+    _check_run(samples, seed)
+    if not (math.isfinite(noise_var) and noise_var >= 0):
+        raise DomainError(f"cloning noise must be finite and non-negative, got {noise_var!r}")
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
     rng = np.random.default_rng(seed)
@@ -207,8 +213,7 @@ def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) 
     so the estimate variance is 1/N per quadrature and the estimator is
     unbiased.
     """
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
+    _check_run(samples, seed)
     if isinstance(n_copies, bool) or not isinstance(n_copies, int) or n_copies < 1:
         raise DomainError(f"copy count must be a positive integer, got {n_copies!r}")
     alpha = _as_amplitude(alpha)

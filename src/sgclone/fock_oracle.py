@@ -4,7 +4,8 @@ Everything here rebuilds states and operators numerically, independently of
 the closed-form layer: coherent vectors from the number-basis expansion
 c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), mixtures by Gauss-Hermite
 integration over the displacement distribution, moments from ladder
-matrices, and squeezing by an explicit matrix exponential.
+matrices, and squeezing and displacement by the exponential of a Hermitian
+generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh of H.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -26,7 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, DomainError, SGCloneError, TruncationError
 from .quadrature_core import (
@@ -50,6 +50,9 @@ _HERMITICITY_TOL = 1e-12
 _UNITARITY_TOL = 1e-8
 _SQUEEZE_TAIL_TOL = 1e-5
 _CHUNK = 65536
+#: The cascade channel runs in a basis this many times the cutoff block, so
+#: the truncation edge of its shift operators stays far from that block.
+_PADDING = 2
 
 
 @lru_cache(maxsize=32)
@@ -65,6 +68,24 @@ def _ladder(dim: int) -> np.ndarray:
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     a.setflags(write=False)
     return a
+
+
+# Hermitian generators: D(b) = exp(-i b H_x) shifts the amplitude by a real
+# b, D(i b) = exp(+i b H_p) by an imaginary i b, and S(r) = exp(-i r H_squeeze).
+_GENERATORS = {
+    "x": lambda a: 1j * (a.T - a),
+    "p": lambda a: a.T + a,
+    "squeeze": lambda a: 0.5j * (a.T @ a.T - a @ a),
+}
+
+
+@lru_cache(maxsize=32)
+def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam, V) of a named generator: exp(-i t H) = V exp(-i t lam) V^dag."""
+    lam, v = np.linalg.eigh(_GENERATORS[generator](_ladder(dim)))
+    lam.setflags(write=False)
+    v.setflags(write=False)
+    return lam, v
 
 
 def _check_cutoff(cutoff) -> int:
@@ -190,10 +211,12 @@ def coherent_fock_vector(alpha, cutoff: int, eps_trunc: float = DEFAULT_EPS_TRUN
 def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     """Squeeze operator exp(r (a^dag^2 - a^2)/2) on the truncated basis.
 
-    Applied to vacuum it yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  The
-    matrix must be unitary to 1e-8 on the lower two thirds of the basis and
-    the squeezed vacuum must not leak into the top third; either failure
-    means the cutoff cannot hold the requested squeezing.
+    Built as V exp(-i r lam) V^dag from the cached spectrum of the
+    r-independent generator H = (i/2)(a^dag^2 - a^2).  Applied to vacuum it
+    yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  The matrix must be unitary
+    to 1e-8 on the lower two thirds of the basis and the squeezed vacuum must
+    not leak into the top third; either failure means the cutoff cannot hold
+    the requested squeezing.
     """
     r = float(r)
     if not math.isfinite(r):
@@ -202,9 +225,10 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     if abs(r) > MAX_SQUEEZING:
         raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
     dim = cutoff + 1
-    a = _ladder(dim)
-    gen = 0.5 * r * (a.T @ a.T - a @ a)
-    s = np.asarray(expm(gen), dtype=complex)
+    if r == 0:
+        return np.eye(dim, dtype=complex)
+    lam, v = _spectrum(dim, "squeeze")
+    s = (v * np.exp(-1j * r * lam)) @ v.conj().T
     block = 2 * dim // 3
     unitarity = np.max(np.abs((s.conj().T @ s - np.eye(dim))[:block, :block]))
     if unitarity > _UNITARITY_TOL:
@@ -324,6 +348,37 @@ def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
     return float(value.real)
 
 
+def _shift_channel(rho: np.ndarray, axis: str, variance, grid: QuadratureGrid) -> np.ndarray:
+    """Average D(b) rho D(b)^dag over the Gauss-Hermite shifts b of one axis.
+
+    In the eigenbasis of the axis generator every shift is diagonal, so the
+    average is the Hadamard product of rho with
+    K_mn = sum_j w_j exp(-+i b_j (lam_m - lam_n)), a rank-nodes matrix.
+    A zero variance leaves rho untouched.
+    """
+    if variance == 0:
+        return rho
+    lam, v = _spectrum(rho.shape[0], axis)
+    offsets, weights = grid.axis_nodes(variance)
+    sign = -1.0 if axis == "x" else 1.0
+    phases = np.exp(sign * 1j * np.outer(lam, offsets))
+    kernel = (phases * weights) @ phases.conj().T
+    return v @ ((v.conj().T @ rho @ v) * kernel) @ v.conj().T
+
+
+def _cascaded_density(
+    center_alpha: complex,
+    noise_first: NoiseCovariance,
+    noise_second: NoiseCovariance,
+    dim: int,
+    grid: QuadratureGrid,
+) -> np.ndarray:
+    """The first mixture on dim number states, then the second noise as a channel."""
+    rho = _projector_sum(*_displacement_nodes(center_alpha, noise_first, grid), dim - 1)
+    rho = _shift_channel(rho, "x", noise_second.var_x, grid)
+    return _shift_channel(rho, "p", noise_second.var_p, grid)
+
+
 def cascade_density_check(
     center: CoherentState,
     noise_first: NoiseCovariance,
@@ -331,12 +386,16 @@ def cascade_density_check(
     cutoff: Optional[int] = None,
     grid: Optional[QuadratureGrid] = None,
 ) -> float:
-    """Max-abs entrywise gap between sequential mixing and summed-noise mixing.
+    """Max-abs entrywise gap between a cascaded channel and summed-noise mixing.
 
-    Route one applies the first mixture, then integrates a second
-    displacement distribution over its output (a genuine double integral);
-    route two builds a single mixture with the componentwise noise sum.
-    Agreement certifies that cascaded cloners convolve, i.e. variances add.
+    Route one builds the first mixture's rho, then applies the second noise
+    as an operator channel on it: the average of D(b) rho D(b)^dag over the
+    x-shifts, then over the p-shifts, each shift taken from the spectrum of
+    its Hermitian generator.  Route two builds a single mixture with the
+    componentwise noise sum.  Both live in a basis of _PADDING * (cutoff + 1)
+    states and are compared on the leading (cutoff + 1)^2 block.  Agreement
+    certifies that cascaded cloners convolve, i.e. variances add; a channel
+    with its axes swapped misses on anisotropic noise.
     """
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
@@ -348,14 +407,11 @@ def cascade_density_check(
     if grid is None:
         grid = QuadratureGrid()
 
-    inner, w_inner = _displacement_nodes(center.alpha, noise_first, grid)
-    outer, w_outer = _displacement_nodes(0j, noise_second, grid)
-    combined = (outer[:, None] + inner[None, :]).ravel()
-    weights = np.outer(w_outer, w_inner).ravel()
-    rho_sequential = _projector_sum(combined, weights, cutoff)
-
-    rho_summed = _projector_sum(*_displacement_nodes(center.alpha, total, grid), cutoff)
-    return float(np.max(np.abs(rho_sequential - rho_summed)))
+    d = cutoff + 1
+    dim = _PADDING * d
+    rho_cascaded = _cascaded_density(center.alpha, noise_first, noise_second, dim, grid)
+    rho_summed = _projector_sum(*_displacement_nodes(center.alpha, total, grid), dim - 1)
+    return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed[:d, :d])))
 
 
 class QuadratureMoments(NamedTuple):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import cloner, estimation_bounds, fock_oracle
 from .cloner import UNBOUNDED, optimal_cloner, optimal_fidelity, optimal_noise_variance
+from .errors import DomainError
 from .estimation_bounds import (
     MeasurementWeights,
     holevo_rhs,
@@ -198,7 +199,10 @@ def verify_fock(
 
     ``tolerance`` gates the oracle-vs-closed-form fidelity checks; the
     physicality, moment, additivity and convergence tolerances are fixed.
+    A negative tolerance fails its checks; a NaN one is rejected.
     """
+    if math.isnan(tolerance):
+        raise DomainError(f"tolerance must be a number, got {tolerance!r}")
     report = VerificationReport()
     add = report.checks.append
     grid = QuadratureGrid(nodes)

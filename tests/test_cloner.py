@@ -191,6 +191,11 @@ class TestSqueezedVariant:
         with pytest.raises(DomainError):
             squeezed_variant(1, 2, math.inf)
 
+    @pytest.mark.parametrize("r", [1000.0, -1000.0, -356.0])
+    def test_rejects_r_beyond_the_float_range(self, r):
+        with pytest.raises(DomainError):
+            squeezed_variant(1, 2, r)
+
 
 class TestMixtureFidelity:
     def test_coherent_center_half_noise(self):

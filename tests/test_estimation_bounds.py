@@ -182,6 +182,16 @@ class TestJointMeasurementSimulation:
         with pytest.raises(DomainError):
             simulate_joint_measurement(-0.5, CoherentState(0), 100, SEED)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_rejects_nonfinite_noise(self, noise):
+        with pytest.raises(DomainError):
+            simulate_joint_measurement(noise, CoherentState(0), 100, SEED)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError):
+            simulate_joint_measurement(0.5, CoherentState(0), 100, seed)
+
 
 class TestHeterodyneSimulation:
     @pytest.mark.parametrize("n", [1, 4])
@@ -204,6 +214,10 @@ class TestHeterodyneSimulation:
     def test_rejects_bad_copy_count(self):
         with pytest.raises(DomainError):
             simulate_heterodyne_estimate(0, 0, 100, SEED)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError):
+            simulate_heterodyne_estimate(0, 1, 100, -1)
 
 
 class TestVarianceReport:

@@ -13,6 +13,7 @@ from sgclone import (
     QuadratureGrid,
     SqueezedState,
     TruncationError,
+    add_noise,
     cascade_density_check,
     coherent_fock_vector,
     default_cutoff,
@@ -23,8 +24,12 @@ from sgclone import (
     squeezed_fock_vector,
     squeezed_variant,
 )
+from sgclone import fock_oracle
 
 FAST_GRID = QuadratureGrid(21)
+#: Displaced centre with anisotropic noise on both stages: neither the
+#: centre nor the noise is symmetric under swapping the x and p axes.
+ANISOTROPIC_CASCADE = (CoherentState(1 + 1j), NoiseCovariance(0.3, 0.7), NoiseCovariance(0.6, 0.1))
 
 
 def make_mixture(alpha, var_x, var_p=None):
@@ -167,6 +172,77 @@ class TestCascadeDensityCheck:
             grid=FAST_GRID,
         )
         assert diff < 1e-6
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (NoiseCovariance(0.5, 0.5), NoiseCovariance(0.25, 0.25)),
+            ANISOTROPIC_CASCADE[1:],
+        ],
+        ids=["isotropic", "anisotropic"],
+    )
+    def test_displaced_center(self, first, second):
+        assert cascade_density_check(CoherentState(1 + 1j), first, second, grid=FAST_GRID) < 1e-6
+
+    @pytest.mark.parametrize("axis, amplitude", [("x", 0.7), ("p", 0.7j)])
+    def test_shift_operator_displaces_vacuum(self, axis, amplitude):
+        shifted = _shift_operator(82, axis, 0.7)[:41, 0]
+        assert np.max(np.abs(shifted - coherent_fock_vector(amplitude, 40).amplitudes)) < 1e-12
+
+    def test_channel_matches_one_shift_per_node(self):
+        rho = mixture_density_matrix(make_mixture(1 + 1j, 0.3, 0.7), cutoff=63).matrix
+        for axis, variance in (("x", 0.6), ("p", 0.1)):
+            expected = _dense_shift_channel(rho, axis, variance, FAST_GRID)
+            observed = fock_oracle._shift_channel(rho, axis, variance, FAST_GRID)
+            assert np.max(np.abs(observed - expected)) < 1e-12
+
+    @pytest.mark.parametrize("fault", ["swapped axes", "bra shift sign flipped"])
+    def test_faulty_channel_fails_on_anisotropic_pair(self, monkeypatch, fault):
+        channel = fock_oracle._shift_channel
+        if fault == "swapped axes":
+            def faulty(rho, axis, variance, grid):
+                return channel(rho, {"x": "p", "p": "x"}[axis], variance, grid)
+        else:
+            def faulty(rho, axis, variance, grid):
+                return _dense_shift_channel(rho, axis, variance, grid, adjoint=False)
+        monkeypatch.setattr(fock_oracle, "_shift_channel", faulty)
+        assert cascade_density_check(*ANISOTROPIC_CASCADE, cutoff=40, grid=FAST_GRID) > 1e-3
+
+    def test_channel_output_is_thermal(self):
+        # A vacuum-centred isotropic mixture with noise sigma^2 is thermal, nbar = sigma^2.
+        half = NoiseCovariance(0.5, 0.5)
+        cutoff = default_cutoff(CoherentState(0), add_noise(half, half))
+        d = cutoff + 1
+        rho = fock_oracle._cascaded_density(0j, half, half, 2 * d, QuadratureGrid())[:d, :d]
+        nbar = 1.0
+        thermal = np.diag(nbar ** np.arange(d) / (nbar + 1) ** np.arange(1, d + 1))
+        assert np.max(np.abs(rho - thermal)) < 1e-10
+
+    def test_doubled_padding_does_not_move_the_gap(self, monkeypatch):
+        half = NoiseCovariance(0.5, 0.5)
+        base = cascade_density_check(CoherentState(0), half, half)
+        monkeypatch.setattr(fock_oracle, "_PADDING", 2 * fock_oracle._PADDING)
+        assert abs(cascade_density_check(CoherentState(0), half, half) - base) < 1e-12
+
+
+def _shift_operator(dim, axis, b):
+    """D(b) for axis x, D(i b) for axis p, from the generator's spectrum."""
+    lam, v = fock_oracle._spectrum(dim, axis)
+    sign = -1.0 if axis == "x" else 1.0
+    return (v * np.exp(sign * 1j * b * lam)) @ v.conj().T
+
+
+def _dense_shift_channel(rho, axis, variance, grid, adjoint=True):
+    """sum_j w_j D(b_j) rho D(b_j)^dag, one dense shift operator per node.
+
+    ``adjoint=False`` applies D(b_j) on the bra side too, a sign fault.
+    """
+    offsets, weights = grid.axis_nodes(variance)
+    out = np.zeros_like(rho)
+    for b, w in zip(offsets, weights):
+        shift = _shift_operator(rho.shape[0], axis, b)
+        out += w * shift @ rho @ (shift.conj().T if adjoint else shift)
+    return out
 
 
 class TestSqueezing:

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from sgclone import verify_bounds, verify_fock, verify_mc
+from sgclone import DomainError, verify_bounds, verify_fock, verify_mc
 from sgclone.cli import RunConfig, main, run
 
 
@@ -16,6 +17,10 @@ class TestVerifySuites:
         report = verify_fock(nodes=21)
         failed = [c for c in report.checks if not c.passed]
         assert report.overall, failed
+
+    def test_fock_suite_rejects_nan_tolerance(self):
+        with pytest.raises(DomainError):
+            verify_fock(tolerance=math.nan)
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
@@ -108,6 +113,22 @@ class TestCliExitCodes:
         code = main(["verify-fock", "--tolerance=-1", "--nodes", "21", "--format", "json"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["overall"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["variance", "1", "2", "--r", "1000"],
+            ["variance", "1", "2", "--r", "-1000"],
+            ["verify-mc", "--seed", "-1", "--samples", "10"],
+            ["verify-fock", "--tolerance", "nan"],
+        ],
+    )
+    def test_bad_numeric_argument_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
 
     def test_reversed_counts_exit_two(self, capsys):
         assert main(["fidelity", "2", "1"]) == 2
