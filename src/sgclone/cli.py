@@ -13,43 +13,24 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import verify
 from .cloner import (
     UNBOUNDED,
-    CopyCount,
     cascade,
     optimal_cloner,
     optimal_fidelity,
     optimal_noise_variance,
     squeezed_variant,
 )
-from .errors import SGCloneError
+from .errors import DomainError, SGCloneError
 from .fock_oracle import DEFAULT_NODES
 
 DEFAULT_SAMPLES = 10**6
 DEFAULT_SEED = 42
 DEFAULT_TOLERANCE = 1e-5
 FORMATS = ("text", "csv", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; built by :func:`main` from argv."""
-
-    command: str
-    n: int | None = None
-    m: CopyCount | None = None
-    l: int | None = None
-    r: float = 0.0
-    cutoff: int | None = None
-    nodes: int = DEFAULT_NODES
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    tolerance: float = DEFAULT_TOLERANCE
-    format: str = "text"
 
 
 def _count_token(text: str):
@@ -86,8 +67,6 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     """Variance/fidelity grid over all pairs N <= M, one row per pair."""
-    from .errors import DomainError
-
     if not 1 <= n_max <= m_max:
         raise DomainError(f"need 1 <= n_max <= m_max, got {n_max}, {m_max}")
     rows = []
@@ -111,59 +90,59 @@ def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     return "\n".join(lines)
 
 
-def _emit_value(config: RunConfig, fields: dict, text: str) -> None:
-    if config.format == "json":
+def _emit_value(args: argparse.Namespace, fields: dict, text: str) -> None:
+    if args.format == "json":
         print(json.dumps(fields, indent=2))
-    elif config.format == "csv":
+    elif args.format == "csv":
         print(_csv_lines(list(fields), [[fields[k] for k in fields]]), end="")
     else:
         print(text)
 
 
-def _run_fidelity(config: RunConfig) -> int:
-    value = optimal_fidelity(config.n, config.m).value
+def _run_fidelity(args: argparse.Namespace) -> int:
+    value = optimal_fidelity(args.n, args.m).value
     _emit_value(
-        config,
-        {"n": config.n, "m": _count_str(config.m), "fidelity": float(value)},
+        args,
+        {"n": args.n, "m": _count_str(args.m), "fidelity": float(value)},
         _with_exact(value),
     )
     return 0
 
 
-def _run_variance(config: RunConfig) -> int:
-    if config.r != 0:
-        noise = squeezed_variant(config.n, config.m, config.r).noise
+def _run_variance(args: argparse.Namespace) -> int:
+    if args.r != 0:
+        noise = squeezed_variant(args.n, args.m, args.r).noise
         _emit_value(
-            config,
+            args,
             {
-                "n": config.n,
-                "m": _count_str(config.m),
-                "r": config.r,
+                "n": args.n,
+                "m": _count_str(args.m),
+                "r": args.r,
                 "var_x": float(noise.var_x),
                 "var_p": float(noise.var_p),
             },
             f"var_x {_dec(noise.var_x, 6)}, var_p {_dec(noise.var_p, 6)}",
         )
         return 0
-    value = optimal_noise_variance(config.n, config.m).var_x
+    value = optimal_noise_variance(args.n, args.m).var_x
     _emit_value(
-        config,
-        {"n": config.n, "m": _count_str(config.m), "variance": float(value)},
+        args,
+        {"n": args.n, "m": _count_str(args.m), "variance": float(value)},
         _with_exact(value),
     )
     return 0
 
 
-def _run_cascade(config: RunConfig) -> int:
-    composed = cascade(optimal_cloner(config.n, config.m), optimal_cloner(config.m, config.l))
-    optimal = optimal_noise_variance(config.n, config.l)
+def _run_cascade(args: argparse.Namespace) -> int:
+    composed = cascade(optimal_cloner(args.n, args.m), optimal_cloner(args.m, args.l))
+    optimal = optimal_noise_variance(args.n, args.l)
     match = composed.noise == optimal
     _emit_value(
-        config,
+        args,
         {
-            "n": config.n,
-            "m": _count_str(config.m),
-            "l": config.l,
+            "n": args.n,
+            "m": _count_str(args.m),
+            "l": args.l,
             "composed": float(composed.noise.var_x),
             "optimal": float(optimal.var_x),
             "match": match,
@@ -196,29 +175,23 @@ def _print_report(report: verify.VerificationReport, fmt: str) -> int:
     return 0 if report.overall else 1
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    if config.command == "fidelity":
-        return _run_fidelity(config)
-    if config.command == "variance":
-        return _run_variance(config)
-    if config.command == "cascade":
-        return _run_cascade(config)
-    if config.command == "table":
-        rendered = emit_table(config.n, config.m, config.format)
-        sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
-        return 0
-    if config.command == "verify-bounds":
-        return _print_report(verify.verify_bounds(), config.format)
-    if config.command == "verify-fock":
-        report = verify.verify_fock(
-            tolerance=config.tolerance, nodes=config.nodes, cutoff=config.cutoff
-        )
-        return _print_report(report, config.format)
-    if config.command == "verify-mc":
-        report = verify.verify_mc(samples=config.samples, seed=config.seed)
-        return _print_report(report, config.format)
-    raise SGCloneError(f"unknown command {config.command!r}")
+def _run_table(args: argparse.Namespace) -> int:
+    rendered = emit_table(args.n_max, args.m_max, args.format)
+    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
+    return 0
+
+
+def _run_verify_bounds(args: argparse.Namespace) -> int:
+    return _print_report(verify.verify_bounds(), args.format)
+
+
+def _run_verify_fock(args: argparse.Namespace) -> int:
+    report = verify.verify_fock(tolerance=args.tolerance, nodes=args.nodes, cutoff=args.cutoff)
+    return _print_report(report, args.format)
+
+
+def _run_verify_mc(args: argparse.Namespace) -> int:
+    return _print_report(verify.verify_mc(samples=args.samples, seed=args.seed), args.format)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,10 +206,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fidelity", parents=[common], help="optimal N->M cloning fidelity")
+    p.set_defaults(handler=_run_fidelity)
     p.add_argument("n", type=int)
     p.add_argument("m", type=_count_token)
 
     p = sub.add_parser("variance", parents=[common], help="optimal N->M cloning noise variance")
+    p.set_defaults(handler=_run_variance)
     p.add_argument("n", type=int)
     p.add_argument("m", type=_count_token)
     p.add_argument("--r", type=float, default=0.0,
@@ -244,24 +219,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", parents=[common],
                        help="compose optimal N->M and M->L cloners, compare to optimal N->L")
+    p.set_defaults(handler=_run_cascade)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("l", type=int)
 
     p = sub.add_parser("table", parents=[common], help="variance/fidelity grid over N <= M")
+    p.set_defaults(handler=_run_table)
     p.add_argument("n_max", type=int)
     p.add_argument("m_max", type=int)
 
-    sub.add_parser("verify-bounds", parents=[common],
-                   help="exact identities of the closed-form and bound layers")
+    p = sub.add_parser("verify-bounds", parents=[common],
+                       help="exact identities of the closed-form and bound layers")
+    p.set_defaults(handler=_run_verify_bounds)
 
     p = sub.add_parser("verify-fock", parents=[common],
                        help="truncated-Fock oracle against the closed forms")
+    p.set_defaults(handler=_run_verify_fock)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--cutoff", type=int, default=None)
 
     p = sub.add_parser("verify-mc", parents=[common], help="seeded Monte Carlo measurement checks")
+    p.set_defaults(handler=_run_verify_mc)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
@@ -269,21 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", getattr(args, "n_max", None)),
-        m=getattr(args, "m", getattr(args, "m_max", None)),
-        l=getattr(args, "l", None),
-        r=getattr(args, "r", 0.0),
-        cutoff=getattr(args, "cutoff", None),
-        nodes=getattr(args, "nodes", DEFAULT_NODES),
-        samples=getattr(args, "samples", DEFAULT_SAMPLES),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-        format=args.format,
-    )
     try:
-        return run(config)
+        return args.handler(args)
     except SGCloneError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

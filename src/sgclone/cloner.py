@@ -58,10 +58,16 @@ CopyCount = Union[int, _Unbounded]
 _MATCH_RTOL = 1e-9
 
 
-def _check_counts(n_in, m_out) -> None:
+# Default of _check_counts' m_out: only the input count is checked.  Not None,
+# so that a None passed as an output count is still rejected.
+_INPUT_ONLY = object()
+
+
+def _check_counts(n_in, m_out=_INPUT_ONLY) -> None:
+    """The package's one copy-count check: N >= 1 and, if given, M >= N or UNBOUNDED."""
     if isinstance(n_in, bool) or not isinstance(n_in, int) or n_in < 1:
         raise InvalidClonerError(f"input copy count must be a positive integer, got {n_in!r}")
-    if isinstance(m_out, _Unbounded):
+    if m_out is _INPUT_ONLY or isinstance(m_out, _Unbounded):
         return
     if isinstance(m_out, bool) or not isinstance(m_out, int) or m_out < 1:
         raise InvalidClonerError(f"output copy count must be a positive integer or UNBOUNDED, got {m_out!r}")

@@ -5,10 +5,6 @@ class SGCloneError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidClonerError(SGCloneError, ValueError):
-    """Copy counts that do not describe a valid cloner (e.g. M < N)."""
-
-
 class CompositionError(SGCloneError, ValueError):
     """Cascade of two cloners whose copy counts do not line up."""
 
@@ -19,6 +15,10 @@ class ContractViolationError(SGCloneError, ValueError):
 
 class DomainError(SGCloneError, ValueError):
     """Numeric argument outside the domain of an operation."""
+
+
+class InvalidClonerError(DomainError):
+    """Copy counts that do not describe a valid cloner (e.g. M < N)."""
 
 
 class TruncationError(SGCloneError, ValueError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cloner import _Unbounded
+from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
 from .quadrature_core import CoherentState, _as_amplitude
 
@@ -120,8 +120,7 @@ def optimal_measurement_variance(n_copies: int) -> Fraction:
     independent copies the optimal joint measurement repeats it and
     averages, reducing the variance by 1/N.
     """
-    if isinstance(n_copies, bool) or not isinstance(n_copies, int) or n_copies < 1:
-        raise DomainError(f"copy count must be a positive integer, got {n_copies!r}")
+    _check_counts(n_copies)
     return Fraction(1, n_copies)
 
 
@@ -130,12 +129,9 @@ def cloning_lower_bound(n_in: int, m_out) -> Fraction:
 
     Equals the optimal noise variance (M - N)/(M N) identically.
     """
+    _check_counts(n_in, m_out)
     if isinstance(m_out, _Unbounded):
         return optimal_measurement_variance(n_in)
-    if isinstance(m_out, bool) or not isinstance(m_out, int):
-        raise DomainError(f"output copy count must be an integer or UNBOUNDED, got {m_out!r}")
-    if m_out < n_in:
-        raise DomainError(f"cloning cannot reduce the copy count: {n_in} -> {m_out}")
     return optimal_measurement_variance(n_in) - optimal_measurement_variance(m_out)
 
 
@@ -214,8 +210,7 @@ def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) 
     unbiased.
     """
     _check_run(samples, seed)
-    if isinstance(n_copies, bool) or not isinstance(n_copies, int) or n_copies < 1:
-        raise DomainError(f"copy count must be a positive integer, got {n_copies!r}")
+    _check_counts(n_copies)
     alpha = _as_amplitude(alpha)
     rng = np.random.default_rng(seed)
     mean_x, mean_p = CoherentState(alpha).quadrature_means()

@@ -30,8 +30,6 @@ from .errors import DomainError
 #: preserved wherever the inputs allow it.
 Scalar = Union[int, float, Fraction]
 
-VACUUM_VARIANCE = Fraction(1, 2)
-
 
 def _as_amplitude(value) -> complex:
     alpha = complex(value)
@@ -43,7 +41,11 @@ def _as_amplitude(value) -> complex:
 def _check_variance(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(float(value)) or value < 0:
+    try:
+        finite = math.isfinite(float(value))
+    except OverflowError:  # an exact value beyond the float range
+        finite = False
+    if not finite or value < 0:
         raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 
@@ -110,9 +112,6 @@ class NoiseCovariance:
     @property
     def is_zero(self) -> bool:
         return self.var_x == 0 and self.var_p == 0
-
-
-ZERO_NOISE = NoiseCovariance(0, 0)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .fock_oracle import (
     QuadratureGrid,
     cascade_density_check,
     coherent_fock_vector,
-    default_cutoff,
     fidelity_against,
     mixture_density_matrix,
     quadrature_moments,
@@ -184,9 +183,8 @@ def _oracle_fidelity(n: int, m, center: complex, grid: QuadratureGrid,
                      cutoff=None, eps_trunc=fock_oracle.DEFAULT_EPS_TRUNC):
     state = CoherentState(center)
     mix = cloner.clone_reduced_output(optimal_cloner(n, m), state)
-    cut = cutoff if cutoff is not None else default_cutoff(state, mix.noise)
-    rho = mixture_density_matrix(mix, cut, grid, eps_trunc)
-    return fidelity_against(coherent_fock_vector(state.alpha, cut, eps_trunc), rho), rho
+    rho = mixture_density_matrix(mix, cutoff, grid, eps_trunc)
+    return fidelity_against(coherent_fock_vector(state.alpha, rho.cutoff, eps_trunc), rho), rho
 
 
 def verify_fock(
@@ -199,10 +197,11 @@ def verify_fock(
 
     ``tolerance`` gates the oracle-vs-closed-form fidelity checks; the
     physicality, moment, additivity and convergence tolerances are fixed.
-    A negative tolerance fails its checks; a NaN one is rejected.
+    A negative tolerance fails its checks; a NaN or infinite one, which
+    no check could fail, is rejected.
     """
-    if math.isnan(tolerance):
-        raise DomainError(f"tolerance must be a number, got {tolerance!r}")
+    if not math.isfinite(tolerance):
+        raise DomainError(f"tolerance must be a finite number, got {tolerance!r}")
     report = VerificationReport()
     add = report.checks.append
     grid = QuadratureGrid(nodes)
@@ -252,14 +251,10 @@ def verify_fock(
         tol = 0.0 if second.is_zero else 1e-6
         add(_close(f"cascade additivity pair {i}", 0.0, diff, tol))
 
-    ref_state = CoherentState(1 + 0j)
-    ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), ref_state)
-    base_cut = cutoff if cutoff is not None else default_cutoff(ref_state, ref_mix.noise)
-    f_base = fidelity_against(
-        coherent_fock_vector(1 + 0j, base_cut, eps_trunc),
-        mixture_density_matrix(ref_mix, base_cut, grid, eps_trunc),
-    )
-    fine_cut = 2 * base_cut
+    ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
+    base_rho = mixture_density_matrix(ref_mix, cutoff, grid, eps_trunc)
+    f_base = fidelity_against(coherent_fock_vector(1 + 0j, base_rho.cutoff, eps_trunc), base_rho)
+    fine_cut = 2 * base_rho.cutoff
     f_fine = fidelity_against(
         coherent_fock_vector(1 + 0j, fine_cut, eps_trunc),
         mixture_density_matrix(ref_mix, fine_cut, QuadratureGrid(2 * grid.nodes_per_axis),
@@ -268,11 +263,9 @@ def verify_fock(
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 
     spec = cloner.squeezed_variant(1, 2, 0.5)
-    sq_center = SqueezedState(0j, 0.5)
-    sq_mix = cloner.clone_reduced_output(spec, sq_center)
-    sq_cut = cutoff if cutoff is not None else default_cutoff(sq_center, spec.noise)
-    sq_rho = mixture_density_matrix(sq_mix, sq_cut, grid, eps_trunc)
-    sq_fid = fidelity_against(squeezed_fock_vector(0j, 0.5, sq_cut, eps_trunc), sq_rho)
+    sq_mix = cloner.clone_reduced_output(spec, SqueezedState(0j, 0.5))
+    sq_rho = mixture_density_matrix(sq_mix, cutoff, grid, eps_trunc)
+    sq_fid = fidelity_against(squeezed_fock_vector(0j, 0.5, sq_rho.cutoff, eps_trunc), sq_rho)
     add(_close("squeezed variant fidelity (1,2,r=0.5)", 2 / 3, sq_fid, 1e-4))
     add(_close("squeezed variant noise product", 0.25,
                spec.noise.var_x * spec.noise.var_p, 0.0))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sgclone import (
     UNBOUNDED,
@@ -17,11 +18,14 @@ from sgclone import (
     SqueezedState,
     cascade,
     clone_reduced_output,
+    cloning_lower_bound,
     fidelity_from_variance,
     mixture_fidelity,
     optimal_cloner,
     optimal_fidelity,
+    optimal_measurement_variance,
     optimal_noise_variance,
+    simulate_heterodyne_estimate,
     squeezed_variant,
 )
 
@@ -251,3 +255,37 @@ class TestSpecTypes:
                     < optimal_noise_variance(k * n, k * m).var_x
                 assert optimal_fidelity((k + 1) * n, (k + 1) * m) \
                     > optimal_fidelity(k * n, k * m)
+
+
+counts = st.one_of(
+    st.integers(-3, 40),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.integers(-3, 40).map(str),
+    st.just(UNBOUNDED),
+    st.none(),
+)
+
+
+class TestOneCountRule:
+    """Every copy-count argument goes through the one shared check, which raises
+    InvalidClonerError, a DomainError."""
+
+    @given(counts, counts)
+    def test_count_consumers_agree(self, n, m):
+        n_valid = type(n) is int and n >= 1
+        valid = n_valid and (m is UNBOUNDED or (type(m) is int and m >= n))
+        for fn in (optimal_noise_variance, optimal_fidelity, cloning_lower_bound):
+            if valid:
+                fn(n, m)
+            else:
+                with pytest.raises(InvalidClonerError):
+                    fn(n, m)
+        if n_valid:
+            assert optimal_measurement_variance(n) == Fraction(1, n)
+            simulate_heterodyne_estimate(0, n, 2, 0)
+        else:
+            with pytest.raises(InvalidClonerError):
+                optimal_measurement_variance(n)
+            with pytest.raises(InvalidClonerError):
+                simulate_heterodyne_estimate(0, n, 2, 0)

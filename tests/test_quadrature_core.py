@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,10 @@ class TestNoise:
     def test_rejects_negative_variance(self):
         with pytest.raises(DomainError):
             NoiseCovariance(-0.1, 0.5)
+
+    def test_rejects_exact_variance_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            NoiseCovariance(Fraction(10**400), 0)
 
     @given(st.tuples(finite, finite), st.tuples(finite, finite))
     def test_commutative(self, a, b):

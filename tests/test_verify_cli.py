@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sgclone import DomainError, verify_bounds, verify_fock, verify_mc
-from sgclone.cli import RunConfig, main, run
+from sgclone.cli import main
 
 
 class TestVerifySuites:
@@ -121,6 +121,7 @@ class TestCliExitCodes:
             ["variance", "1", "2", "--r", "-1000"],
             ["verify-mc", "--seed", "-1", "--samples", "10"],
             ["verify-fock", "--tolerance", "nan"],
+            ["verify-fock", "--tolerance", "inf"],
         ],
     )
     def test_bad_numeric_argument_is_a_usage_error(self, capsys, argv):
@@ -149,6 +150,5 @@ class TestCliExitCodes:
         assert exc.value.code == 2
 
     def test_run_config_direct(self, capsys):
-        code = run(RunConfig(command="fidelity", n=3, m=6))
-        assert code == 0
+        assert main(["fidelity", "3", "6"]) == 0
         assert capsys.readouterr().out == "0.857143 (= 6/7)\n"
