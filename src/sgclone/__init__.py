@@ -3,7 +3,13 @@
 Closed-form optima in exact rational arithmetic, measurement-theoretic
 bounds with seeded Monte Carlo checks, and an independent truncated-Fock
 numerical oracle.
+
+The closed-form names import only the standard library.  The numeric
+names (and their submodules) import numpy on first access, so closed-form
+callers never load it.
 """
+
+from importlib import import_module as _import_module
 
 from .cloner import (
     UNBOUNDED,
@@ -27,32 +33,6 @@ from .errors import (
     SGCloneError,
     TruncationError,
 )
-from .estimation_bounds import (
-    MeasurementWeights,
-    VarianceReport,
-    arthurs_kelly_margin,
-    chain_bound_1to2,
-    cloning_lower_bound,
-    holevo_rhs,
-    optimal_measurement_variance,
-    simulate_heterodyne_estimate,
-    simulate_joint_measurement,
-    symmetric_variance_bound,
-    weight_ratio_grid,
-)
-from .fock_oracle import (
-    DensityMatrix,
-    FockVector,
-    QuadratureGrid,
-    cascade_density_check,
-    coherent_fock_vector,
-    default_cutoff,
-    fidelity_against,
-    mixture_density_matrix,
-    quadrature_moments,
-    squeeze_fock_matrix,
-    squeezed_fock_vector,
-)
 from .quadrature_core import (
     CoherentState,
     GaussianMixtureState,
@@ -62,6 +42,57 @@ from .quadrature_core import (
     displace,
     overlap_sq,
 )
-from .verify import VerificationReport, verify_bounds, verify_fock, verify_mc
 
 __version__ = "0.1.0"
+
+#: Numeric public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "MeasurementWeights",
+            "VarianceReport",
+            "arthurs_kelly_margin",
+            "chain_bound_1to2",
+            "cloning_lower_bound",
+            "holevo_rhs",
+            "optimal_measurement_variance",
+            "simulate_heterodyne_estimate",
+            "simulate_joint_measurement",
+            "symmetric_variance_bound",
+            "weight_ratio_grid",
+        ),
+        "estimation_bounds",
+    ),
+    **dict.fromkeys(
+        (
+            "DensityMatrix",
+            "FockVector",
+            "QuadratureGrid",
+            "cascade_density_check",
+            "coherent_fock_vector",
+            "default_cutoff",
+            "fidelity_against",
+            "mixture_density_matrix",
+            "quadrature_moments",
+            "squeeze_fock_matrix",
+            "squeezed_fock_vector",
+        ),
+        "fock_oracle",
+    ),
+    **dict.fromkeys(("VerificationReport", "verify_bounds", "verify_fock", "verify_mc"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _LAZY.values():
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

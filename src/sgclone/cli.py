@@ -14,8 +14,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import verify
 from .cloner import (
     UNBOUNDED,
     cascade,
@@ -25,7 +25,9 @@ from .cloner import (
     squeezed_variant,
 )
 from .errors import DomainError, SGCloneError
-from .fock_oracle import DEFAULT_NODES
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 DEFAULT_SAMPLES = 10**6
 DEFAULT_SEED = 42
@@ -153,7 +155,7 @@ def _run_cascade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: verify.VerificationReport, fmt: str) -> int:
+def _print_report(report: VerificationReport, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(report.as_dict(), indent=2))
     elif fmt == "csv":
@@ -181,16 +183,26 @@ def _run_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# The verify-* handlers import the numeric modules themselves, so that the
+# closed-form commands never load numpy.
 def _run_verify_bounds(args: argparse.Namespace) -> int:
+    from . import verify
+
     return _print_report(verify.verify_bounds(), args.format)
 
 
 def _run_verify_fock(args: argparse.Namespace) -> int:
-    report = verify.verify_fock(tolerance=args.tolerance, nodes=args.nodes, cutoff=args.cutoff)
+    from . import verify
+    from .fock_oracle import DEFAULT_NODES
+
+    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+    report = verify.verify_fock(tolerance=args.tolerance, nodes=nodes, cutoff=args.cutoff)
     return _print_report(report, args.format)
 
 
 def _run_verify_mc(args: argparse.Namespace) -> int:
+    from . import verify
+
     return _print_report(verify.verify_mc(samples=args.samples, seed=args.seed), args.format)
 
 
@@ -237,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="truncated-Fock oracle against the closed forms")
     p.set_defaults(handler=_run_verify_fock)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None)
 
     p = sub.add_parser("verify-mc", parents=[common], help="seeded Monte Carlo measurement checks")

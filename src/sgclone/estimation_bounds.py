@@ -24,7 +24,7 @@ import numpy as np
 
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
-from .quadrature_core import CoherentState, _as_amplitude
+from .quadrature_core import CoherentState, _as_amplitude, _check_variance
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def arthurs_kelly_margin(var_x, var_p):
     Non-negative for any physically realizable joint measurement of x and p
     on a single copy; a negative margin certifies impossibility.
     """
-    if var_x < 0 or var_p < 0:
-        raise DomainError("measured variances cannot be negative")
+    _check_variance("var_x", var_x)
+    _check_variance("var_p", var_p)
     return var_x * var_p - 1
 
 
@@ -84,7 +84,9 @@ def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
     """
     if not isinstance(weights, MeasurementWeights):
         weights = MeasurementWeights(*weights)
-    if dx2 <= 0 or dp2 <= 0:
+    _check_variance("dx2", dx2)
+    _check_variance("dp2", dp2)
+    if dx2 == 0 or dp2 == 0:
         raise DomainError("intrinsic variances must be positive")
     return weights.g_x * dx2 + weights.g_p * dp2 + math.sqrt(weights.g_x * weights.g_p)
 
@@ -143,10 +145,11 @@ def chain_bound_1to2(dx2, dp2, noise_var):
     realizable 1 -> 2 cloner; for a coherent input that forces
     noise >= 1/2.
     """
+    _check_variance("dx2", dx2)
+    _check_variance("dp2", dp2)
+    _check_variance("cloning noise", noise_var)
     if dx2 * dp2 < 0.25:
         raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
-    if noise_var < 0:
-        raise DomainError("cloning noise cannot be negative")
     return (dx2 + noise_var) * (dp2 + noise_var) - 1
 
 
@@ -167,6 +170,8 @@ def _sample_report(x: np.ndarray, p: np.ndarray, samples: int, seed: int) -> Var
 
 
 def _check_run(samples: int, seed: int) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise DomainError("need at least 2 samples")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -186,8 +191,7 @@ def simulate_joint_measurement(
     marginals are modeled, and the measured variances involve nothing else.
     """
     _check_run(samples, seed)
-    if not (math.isfinite(noise_var) and noise_var >= 0):
-        raise DomainError(f"cloning noise must be finite and non-negative, got {noise_var!r}")
+    _check_variance("cloning noise", noise_var)
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
     rng = np.random.default_rng(seed)

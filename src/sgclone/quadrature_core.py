@@ -38,14 +38,22 @@ def _as_amplitude(value) -> complex:
     return alpha
 
 
+#: Types accepted without the (slow) ``numbers.Real`` ABC check; bool is
+#: its own type, so it still takes the slow path and is rejected there.
+_EXACT_REALS = (int, float, Fraction)
+
+
 def _check_variance(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real):
+    kind = type(value)
+    if kind not in _EXACT_REALS and (isinstance(value, bool) or not isinstance(value, Real)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
+    # float() and < on a Fraction are Python-level calls; on its integer parts they are not.
+    sign, divisor = (value.numerator, value.denominator) if kind is Fraction else (value, 1)
     try:
-        finite = math.isfinite(float(value))
+        finite = math.isfinite(sign / divisor)
     except OverflowError:  # an exact value beyond the float range
         finite = False
-    if not finite or value < 0:
+    if not finite or sign < 0:
         raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 

@@ -24,6 +24,7 @@ from sgclone import (
 
 SAMPLES = 200_000
 SEED = 42
+NONFINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestArthursKellyMargin:
@@ -39,6 +40,14 @@ class TestArthursKellyMargin:
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
             arthurs_kelly_margin(-1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nonfinite_variance_rejected(self, bad, position):
+        args = [1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            arthurs_kelly_margin(*args)
 
 
 class TestHolevoRhs:
@@ -61,6 +70,14 @@ class TestHolevoRhs:
     def test_rejects_nonpositive_variances(self):
         with pytest.raises(DomainError):
             holevo_rhs(MeasurementWeights(1, 1), 0.0, 0.5)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_nonfinite_variances(self, bad, position):
+        args = [0.5, 0.5]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            holevo_rhs(MeasurementWeights(1, 1), *args)
 
 
 class TestWeightGrid:
@@ -142,6 +159,14 @@ class TestChainBound:
         with pytest.raises(DomainError):
             chain_bound_1to2(0.5, 0.5, -0.1)
 
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nonfinite_input_rejected(self, bad, position):
+        args = [0.5, 0.5, 0.5]
+        args[position] = bad
+        with pytest.raises(DomainError):
+            chain_bound_1to2(*args)
+
 
 class TestJointMeasurementSimulation:
     def test_deterministic(self):
@@ -182,7 +207,7 @@ class TestJointMeasurementSimulation:
         with pytest.raises(DomainError):
             simulate_joint_measurement(-0.5, CoherentState(0), 100, SEED)
 
-    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, Fraction(10**400), "x"])
     def test_rejects_nonfinite_noise(self, noise):
         with pytest.raises(DomainError):
             simulate_joint_measurement(noise, CoherentState(0), 100, SEED)
@@ -191,6 +216,11 @@ class TestJointMeasurementSimulation:
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError):
             simulate_joint_measurement(0.5, CoherentState(0), 100, seed)
+
+    @pytest.mark.parametrize("samples", [2.5, "10", True, 100.0])
+    def test_rejects_non_integer_sample_counts(self, samples):
+        with pytest.raises(DomainError):
+            simulate_joint_measurement(0.5, CoherentState(0), samples, SEED)
 
 
 class TestHeterodyneSimulation:
@@ -218,6 +248,11 @@ class TestHeterodyneSimulation:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError):
             simulate_heterodyne_estimate(0, 1, 100, -1)
+
+    @pytest.mark.parametrize("samples", [1, 2.5, "10", True])
+    def test_rejects_bad_sample_counts(self, samples):
+        with pytest.raises(DomainError):
+            simulate_heterodyne_estimate(0, 1, samples, SEED)
 
 
 class TestVarianceReport:

@@ -1,0 +1,73 @@
+"""The closed-form surface loads no numerics; numeric names load on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sgclone
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Every public name ``dir(sgclone)`` listed when the package imported
+#: everything eagerly, submodules included.
+PUBLIC_NAMES = {
+    "ClonerSpec", "CoherentState", "CompositionError", "ContractViolationError", "DensityMatrix",
+    "DimensionError", "DomainError", "Fidelity", "FockVector", "GaussianMixtureState",
+    "InvalidClonerError", "MeasurementWeights", "NoiseCovariance", "QuadratureGrid",
+    "SGCloneError", "SqueezedState", "TruncationError", "UNBOUNDED", "VarianceReport",
+    "VerificationReport", "add_noise", "arthurs_kelly_margin", "cascade",
+    "cascade_density_check", "chain_bound_1to2", "clone_reduced_output", "cloner",
+    "cloning_lower_bound", "coherent_fock_vector", "default_cutoff", "displace", "errors",
+    "estimation_bounds", "fidelity_against", "fidelity_from_variance", "fock_oracle",
+    "holevo_rhs", "mixture_density_matrix", "mixture_fidelity", "optimal_cloner",
+    "optimal_fidelity", "optimal_measurement_variance", "optimal_noise_variance", "overlap_sq",
+    "quadrature_core", "quadrature_moments", "simulate_heterodyne_estimate",
+    "simulate_joint_measurement", "squeeze_fock_matrix", "squeezed_fock_vector",
+    "squeezed_variant", "symmetric_variance_bound", "verify", "verify_bounds", "verify_fock",
+    "verify_mc", "weight_ratio_grid",
+}
+
+_PROBE = """
+import sys
+import sgclone
+import sgclone.cli
+code = sgclone.cli.main(sys.argv[1:])
+print("exit", code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["fidelity", "1", "2"], 0),
+        (["variance", "2", "5", "--r", "0.3", "--format", "json"], 0),
+        (["cascade", "1", "2", "4"], 0),
+        (["table", "3", "6", "--format", "csv"], 0),
+        (["fidelity", "3", "2"], 2),
+    ],
+)
+def test_closed_form_commands_do_not_import_numpy(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"exit {code} False"
+
+
+@pytest.mark.parametrize("name, module", sorted(sgclone._LAZY.items()))
+def test_lazy_name_is_the_submodule_attribute(name, module):
+    assert getattr(sgclone, name) is getattr(importlib.import_module(f"sgclone.{module}"), name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sgclone.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    assert PUBLIC_NAMES <= set(dir(sgclone))
+    assert all(hasattr(sgclone, name) for name in PUBLIC_NAMES)

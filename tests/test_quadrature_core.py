@@ -104,6 +104,22 @@ class TestNoise:
         with pytest.raises(DomainError):
             NoiseCovariance(Fraction(10**400), 0)
 
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "0.5", 0.5j, None, math.nan, math.inf, -math.inf, np.float64("nan"),
+         -1, -0.5, np.float64(-1), Fraction(-1, 10**400), pytest.param(10**400, id="10**400"),
+         -Fraction(10**400)],
+    )
+    def test_rejects_every_invalid_variance(self, value):
+        with pytest.raises(DomainError):
+            NoiseCovariance(0.5, value)
+
+    @pytest.mark.parametrize(
+        "value", [0, -0.0, 1e308, Fraction(1, 10**400), Fraction(10**300, 7), np.float64(2), np.int64(3)]
+    )
+    def test_accepts_every_finite_non_negative_real(self, value):
+        assert NoiseCovariance(value, 0.5).var_x == value
+
     @given(st.tuples(finite, finite), st.tuples(finite, finite))
     def test_commutative(self, a, b):
         na = NoiseCovariance(abs(a[0]), abs(a[1]))
