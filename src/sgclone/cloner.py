@@ -31,6 +31,7 @@ from .quadrature_core import (
     NoiseCovariance,
     Scalar,
     SqueezedState,
+    _as_amplitude,
     add_noise,
 )
 
@@ -171,7 +172,7 @@ def _matched_sigma2(center: CenterState, noise: NoiseCovariance) -> Scalar:
     Raises ContractViolationError when the noise anisotropy does not match
     the center's squeezing.
     """
-    if isinstance(center, SqueezedState) and center.r != 0:
+    if center.r != 0:  # at r = 0, keep exact noise exact
         sx = noise.var_x * math.exp(-2.0 * center.r)
         sp = noise.var_p * math.exp(2.0 * center.r)
     else:
@@ -207,9 +208,7 @@ def squeezed_variant(n_in: int, m_out: CopyCount, r: float) -> ClonerSpec:
     rounding.
     """
     base = optimal_noise_variance(n_in, m_out)
-    r = float(r)
-    if not math.isfinite(r):
-        raise DomainError(f"squeezing parameter must be finite, got {r!r}")
+    r = _as_amplitude(r, "squeezing parameter", real=True).real
     if r == 0 or base.var_x == 0:
         return ClonerSpec(n_in, m_out, base)
     try:

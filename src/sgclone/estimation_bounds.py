@@ -36,7 +36,8 @@ class MeasurementWeights:
 
     def __post_init__(self):
         for name, g in (("g_x", self.g_x), ("g_p", self.g_p)):
-            if not (math.isfinite(g) and g > 0):
+            _check_variance(name, g)
+            if not g > 0:
                 raise DomainError(f"{name} must be finite and > 0, got {g!r}")
 
 
@@ -61,8 +62,8 @@ class VarianceReport:
     def __post_init__(self):
         if self.samples < 2:
             raise DomainError("a variance report needs at least 2 samples")
-        if self.var_x_hat < 0 or self.var_p_hat < 0:
-            raise DomainError("sample variances cannot be negative")
+        _check_variance("var_x_hat", self.var_x_hat)
+        _check_variance("var_p_hat", self.var_p_hat)
 
 
 def arthurs_kelly_margin(var_x, var_p):
@@ -108,8 +109,8 @@ def weight_ratio_grid(points: int = 61) -> np.ndarray:
 
     ``points`` must be odd so the grid contains the ratio 1.0 exactly.
     """
-    if points < 3 or points % 2 == 0:
-        raise DomainError("the weight grid needs an odd number of points >= 3")
+    if isinstance(points, bool) or not isinstance(points, int) or points < 3 or points % 2 == 0:
+        raise DomainError(f"points must be an odd integer >= 3, got {points!r}")
     half = (points - 1) // 2
     exponents = (np.arange(points) - half) * (3.0 / half)
     return 10.0 ** exponents

@@ -17,6 +17,10 @@ projector.  The integrand is a Gaussian times entire overlap factors, so
 the tensor rule converges spectrally; a degenerate axis (variance 0)
 collapses to a single node so pure limits are reproduced without
 quadrature error.
+
+Every state comes from one row builder for D(alpha) S(r)|0>: a coherent
+center is the squeezed center with r = 0, and a pure state is the
+zero-noise mixture, the one-node rule.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .quadrature_core import (
 )
 
 DEFAULT_NODES = 41
+#: Largest norm or trace a state may lose to the cutoff.
 DEFAULT_EPS_TRUNC = 1e-8
 CUTOFF_MIN = 32
 CUTOFF_MAX = 256
@@ -164,11 +169,11 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def validate(self, eps_trunc: float = DEFAULT_EPS_TRUNC) -> None:
-        """Physicality check: trace within eps_trunc of 1, no negativity."""
+    def validate(self) -> None:
+        """Physicality check: trace within DEFAULT_EPS_TRUNC of 1, no negativity."""
         tr = self.trace()
-        if not 1 - eps_trunc <= tr <= 1 + 1e-12:
-            raise TruncationError(f"trace {tr} outside [1 - {eps_trunc}, 1]")
+        if not 1 - DEFAULT_EPS_TRUNC <= tr <= 1 + 1e-12:
+            raise TruncationError(f"trace {tr} outside [1 - {DEFAULT_EPS_TRUNC}, 1]")
         if self.min_eigenvalue() < -1e-10:
             raise DomainError(f"negative eigenvalue {self.min_eigenvalue()}")
 
@@ -194,18 +199,13 @@ def _coherent_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def coherent_fock_vector(alpha, cutoff: int, eps_trunc: float = DEFAULT_EPS_TRUNC) -> FockVector:
-    """Truncated number-basis expansion of the coherent state |alpha>."""
-    alpha = _as_amplitude(alpha)
-    _check_cutoff(cutoff)
-    amp = _coherent_batch(np.array([alpha]), cutoff)[0]
-    deficit = 1.0 - float(np.vdot(amp, amp).real)
-    if deficit > eps_trunc:
+def _check_truncation(kept: float, cutoff: int, what: str) -> None:
+    """Reject a norm or trace that lost more than DEFAULT_EPS_TRUNC to the cutoff."""
+    deficit = 1.0 - kept
+    if deficit > DEFAULT_EPS_TRUNC:
         raise TruncationError(
-            f"cutoff {cutoff} drops {deficit:.3e} of |alpha|={abs(alpha):.3f} "
-            f"(> eps_trunc={eps_trunc:.1e})"
+            f"cutoff {cutoff} drops {deficit:.3e} of {what} (> eps_trunc={DEFAULT_EPS_TRUNC:.1e})"
         )
-    return FockVector(cutoff, amp)
 
 
 def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
@@ -218,9 +218,7 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     not leak into the top third; either failure means the cutoff cannot hold
     the requested squeezing.
     """
-    r = float(r)
-    if not math.isfinite(r):
-        raise DomainError(f"squeezing parameter must be finite, got {r!r}")
+    r = _as_amplitude(r, "squeezing parameter", real=True).real
     _check_cutoff(cutoff)
     if abs(r) > MAX_SQUEEZING:
         raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
@@ -242,52 +240,51 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     return s
 
 
-def _squeezed_frame(alphas: np.ndarray, r: float) -> np.ndarray:
-    # D(g) S(r) = S(r) D(g'), with Re g' = Re g e^{-r}, Im g' = Im g e^{r}.
-    return alphas.real * math.exp(-r) + 1j * alphas.imag * math.exp(r)
+def _state_rows(alphas: np.ndarray, r: float, cutoff: int) -> np.ndarray:
+    """Rows D(alpha) S(r)|0>, one per amplitude; plain coherent rows at r = 0.
+
+    D(g) S(r) = S(r) D(g') with Re g' = Re g e^{-r}, Im g' = Im g e^{r}, so a
+    squeezed row is a coherent row in that frame with S(r) applied on top.
+    """
+    if r == 0:
+        return _coherent_batch(alphas, cutoff)
+    # Built before the batch, so its d x d temporaries are freed first.
+    s = squeeze_fock_matrix(r, cutoff)
+    frame = alphas.real * math.exp(-r) + 1j * alphas.imag * math.exp(r)
+    return _coherent_batch(frame, cutoff) @ s.T
 
 
-def squeezed_fock_vector(
-    alpha, r: float, cutoff: int, eps_trunc: float = DEFAULT_EPS_TRUNC
-) -> FockVector:
+def squeezed_fock_vector(alpha, r: float, cutoff: int) -> FockVector:
     """Displaced squeezed state D(alpha) S(r) |0> on the truncated basis."""
     alpha = _as_amplitude(alpha)
-    s = squeeze_fock_matrix(r, cutoff)
-    tilde = _squeezed_frame(np.array([alpha]), float(r))
-    amp = s @ _coherent_batch(tilde, cutoff)[0]
-    deficit = 1.0 - float(np.vdot(amp, amp).real)
-    if deficit > eps_trunc:
-        raise TruncationError(
-            f"cutoff {cutoff} drops {deficit:.3e} of the squeezed state (r={r})"
-        )
-    return FockVector(cutoff, np.asarray(amp))
+    r = _as_amplitude(r, "squeezing parameter", real=True).real
+    _check_cutoff(cutoff)
+    amp = _state_rows(np.array([alpha]), r, cutoff)[0]
+    _check_truncation(float(np.vdot(amp, amp).real), cutoff, f"D({alpha:.3f}) S({r})|0>")
+    return FockVector(cutoff, amp)
 
 
-def _displacement_nodes(
-    center_alpha: complex, noise: NoiseCovariance, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displaced amplitudes and weights of the tensor quadrature rule."""
-    bx, ux = grid.axis_nodes(noise.var_x)
-    bp, up = grid.axis_nodes(noise.var_p)
-    alphas = (center_alpha + (bx[:, None] + 1j * bp[None, :])).ravel()
-    weights = np.outer(ux, up).ravel()
-    return alphas, weights
+def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
+    """Truncated number-basis expansion of the coherent state |alpha>."""
+    return squeezed_fock_vector(alpha, 0.0, cutoff)
 
 
 def _projector_sum(
-    alphas: np.ndarray, weights: np.ndarray, cutoff: int, transform: Optional[np.ndarray] = None
+    center: CenterState, noise: NoiseCovariance, grid: QuadratureGrid, cutoff: int
 ) -> np.ndarray:
-    """Weighted sum of coherent projectors, optionally conjugated by a matrix.
+    """The center's projector averaged over the grid's displacements of the noise.
 
     Chunked so arbitrarily long node lists keep a flat memory profile; the
     accumulation order is fixed, keeping results reproducible.
     """
+    bx, ux = grid.axis_nodes(noise.var_x)
+    bp, up = grid.axis_nodes(noise.var_p)
+    alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()
+    weights = np.outer(ux, up).ravel()
     d = cutoff + 1
     rho = np.zeros((d, d), dtype=complex)
     for start in range(0, alphas.size, _CHUNK):
-        vecs = _coherent_batch(alphas[start : start + _CHUNK], cutoff)
-        if transform is not None:
-            vecs = vecs @ transform.T
+        vecs = _state_rows(alphas[start : start + _CHUNK], center.r, cutoff)
         rho += (weights[start : start + _CHUNK, None] * vecs).T @ vecs.conj()
     return rho
 
@@ -296,43 +293,20 @@ def mixture_density_matrix(
     mixture: GaussianMixtureState,
     cutoff: Optional[int] = None,
     grid: Optional[QuadratureGrid] = None,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
 ) -> DensityMatrix:
     """Density operator of a Gaussian displacement mixture.
 
-    Coherent centers sum displaced coherent projectors over the grid;
-    squeezed centers ride on the same machinery with every displaced
-    amplitude mapped into the squeezed frame and the squeeze matrix applied
-    on top.  Zero noise returns the pure projector without integration.
+    Sums the center's displaced projectors over the grid; zero noise is
+    the one-node rule, the pure projector.
     """
     if not isinstance(mixture, GaussianMixtureState):
         raise TypeError("expected a GaussianMixtureState")
-    center = mixture.center
     if cutoff is None:
-        cutoff = default_cutoff(center, mixture.noise)
+        cutoff = default_cutoff(mixture.center, mixture.noise)
     else:
         _check_cutoff(cutoff)
-    if grid is None:
-        grid = QuadratureGrid()
-
-    if mixture.is_pure:
-        if isinstance(center, SqueezedState) and center.r != 0:
-            vec = squeezed_fock_vector(center.alpha, center.r, cutoff, eps_trunc)
-        else:
-            vec = coherent_fock_vector(center.alpha, cutoff, eps_trunc)
-        return DensityMatrix(cutoff, np.outer(vec.amplitudes, vec.amplitudes.conj()))
-
-    alphas, weights = _displacement_nodes(center.alpha, mixture.noise, grid)
-    if isinstance(center, SqueezedState) and center.r != 0:
-        transform = squeeze_fock_matrix(center.r, cutoff)
-        rho = _projector_sum(_squeezed_frame(alphas, center.r), weights, cutoff, transform)
-    else:
-        rho = _projector_sum(alphas, weights, cutoff)
-    deficit = 1.0 - float(np.trace(rho).real)
-    if deficit > eps_trunc:
-        raise TruncationError(
-            f"cutoff {cutoff} drops {deficit:.3e} of the mixture (> eps_trunc={eps_trunc:.1e})"
-        )
+    rho = _projector_sum(mixture.center, mixture.noise, grid or QuadratureGrid(), cutoff)
+    _check_truncation(float(np.trace(rho).real), cutoff, "the mixture")
     return DensityMatrix(cutoff, rho)
 
 
@@ -367,20 +341,20 @@ def _shift_channel(rho: np.ndarray, axis: str, variance, grid: QuadratureGrid) -
 
 
 def _cascaded_density(
-    center_alpha: complex,
+    center: CenterState,
     noise_first: NoiseCovariance,
     noise_second: NoiseCovariance,
     dim: int,
     grid: QuadratureGrid,
 ) -> np.ndarray:
     """The first mixture on dim number states, then the second noise as a channel."""
-    rho = _projector_sum(*_displacement_nodes(center_alpha, noise_first, grid), dim - 1)
+    rho = _projector_sum(center, noise_first, grid, dim - 1)
     rho = _shift_channel(rho, "x", noise_second.var_x, grid)
     return _shift_channel(rho, "p", noise_second.var_p, grid)
 
 
 def cascade_density_check(
-    center: CoherentState,
+    center: CenterState,
     noise_first: NoiseCovariance,
     noise_second: NoiseCovariance,
     cutoff: Optional[int] = None,
@@ -395,22 +369,22 @@ def cascade_density_check(
     componentwise noise sum.  Both live in a basis of _PADDING * (cutoff + 1)
     states and are compared on the leading (cutoff + 1)^2 block.  Agreement
     certifies that cascaded cloners convolve, i.e. variances add; a channel
-    with its axes swapped misses on anisotropic noise.
+    with its axes swapped misses on anisotropic noise.  Coherent and
+    squeezed centers run the same code.
     """
-    if not isinstance(center, CoherentState):
-        raise TypeError("center must be a CoherentState")
+    if not isinstance(center, (CoherentState, SqueezedState)):
+        raise TypeError("center must be a CoherentState or SqueezedState")
     total = add_noise(noise_first, noise_second)
     if cutoff is None:
         cutoff = default_cutoff(center, total)
     else:
         _check_cutoff(cutoff)
-    if grid is None:
-        grid = QuadratureGrid()
+    grid = grid or QuadratureGrid()
 
     d = cutoff + 1
     dim = _PADDING * d
-    rho_cascaded = _cascaded_density(center.alpha, noise_first, noise_second, dim, grid)
-    rho_summed = _projector_sum(*_displacement_nodes(center.alpha, total, grid), dim - 1)
+    rho_cascaded = _cascaded_density(center, noise_first, noise_second, dim, grid)
+    rho_summed = _projector_sum(center, total, grid, dim - 1)
     return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed[:d, :d])))
 
 

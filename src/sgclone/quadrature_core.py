@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import DomainError
 
@@ -31,10 +31,18 @@ from .errors import DomainError
 Scalar = Union[int, float, Fraction]
 
 
-def _as_amplitude(value) -> complex:
-    alpha = complex(value)
+def _as_amplitude(value, name: str = "amplitude", real: bool = False) -> complex:
+    """A finite complex number (with no imaginary part if ``real``), else DomainError."""
+    try:
+        if isinstance(value, (bool, str)):  # complex() would take True and "1"
+            raise TypeError
+        alpha = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise DomainError(f"amplitude must be finite, got {alpha!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if real and alpha.imag:
+        raise DomainError(f"{name} must be real, got {value!r}")
     return alpha
 
 
@@ -62,6 +70,8 @@ class CoherentState:
     """Coherent state |alpha>; intrinsic variances are 1/2 by convention."""
 
     alpha: complex
+    #: A coherent state is the squeezed state with r = 0.
+    r: ClassVar[float] = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_amplitude(self.alpha))
@@ -86,10 +96,7 @@ class SqueezedState:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_amplitude(self.alpha))
-        r = float(self.r)
-        if not math.isfinite(r):
-            raise DomainError(f"squeezing parameter must be finite, got {self.r!r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _as_amplitude(self.r, "squeezing parameter", real=True).real)
 
     def quadrature_means(self) -> tuple[float, float]:
         return math.sqrt(2.0) * self.alpha.real, math.sqrt(2.0) * self.alpha.imag

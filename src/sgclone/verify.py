@@ -28,7 +28,6 @@ from .estimation_bounds import (
 from .fock_oracle import (
     QuadratureGrid,
     cascade_density_check,
-    coherent_fock_vector,
     fidelity_against,
     mixture_density_matrix,
     quadrature_moments,
@@ -36,6 +35,11 @@ from .fock_oracle import (
 )
 from .quadrature_core import CoherentState, GaussianMixtureState, NoiseCovariance, SqueezedState
 
+#: verify_bounds checks every N <= M <= MAX_COUNT, cascades up to CASCADE_MAX
+#: copies and monotonicity for k < K_MAX.
+MAX_COUNT = 64
+CASCADE_MAX = 32
+K_MAX = 16
 ORACLE_SCENARIOS = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 5))
 ORACLE_CENTERS = (0j, 1 + 0j, 1 + 1j, 2 - 1j)
 SATURATION_SEEDS = (42, 7, 1001)
@@ -91,7 +95,7 @@ def _at_least(name: str, bound, observed) -> Check:
     return Check(name, float(bound), float(observed), 0.0, observed >= bound)
 
 
-def verify_bounds(max_count: int = 64, cascade_max: int = 32, k_max: int = 16) -> VerificationReport:
+def verify_bounds() -> VerificationReport:
     """Exact identities of the closed-form and bound layers."""
     report = VerificationReport()
     add = report.checks.append
@@ -109,37 +113,37 @@ def verify_bounds(max_count: int = 64, cascade_max: int = 32, k_max: int = 16) -
     for name, got, want in anchors:
         add(_close(name, want, got, 0.0))
 
-    pairs = [(n, m) for n in range(1, max_count + 1) for m in range(n, max_count + 1)]
-    pairs += [(n, UNBOUNDED) for n in range(1, max_count + 1)]
+    pairs = [(n, m) for n in range(1, MAX_COUNT + 1) for m in range(n, MAX_COUNT + 1)]
+    pairs += [(n, UNBOUNDED) for n in range(1, MAX_COUNT + 1)]
     good = sum(
         estimation_bounds.cloning_lower_bound(n, m) == optimal_noise_variance(n, m).var_x
         for n, m in pairs
     )
-    add(_count(f"bound-chain identity (N<=M<={max_count}, inf)", len(pairs), good))
+    add(_count(f"bound-chain identity (N<=M<={MAX_COUNT}, inf)", len(pairs), good))
 
     good = sum(
         cloner.fidelity_from_variance(optimal_noise_variance(n, m)) == optimal_fidelity(n, m)
         for n, m in pairs
     )
-    add(_count(f"fidelity-variance consistency (N<=M<={max_count}, inf)", len(pairs), good))
+    add(_count(f"fidelity-variance consistency (N<=M<={MAX_COUNT}, inf)", len(pairs), good))
 
     triples = [
         (n, m, l)
-        for n in range(1, cascade_max + 1)
-        for m in range(n, cascade_max + 1)
-        for l in range(m, cascade_max + 1)
+        for n in range(1, CASCADE_MAX + 1)
+        for m in range(n, CASCADE_MAX + 1)
+        for l in range(m, CASCADE_MAX + 1)
     ]
     good = sum(
         cloner.cascade(optimal_cloner(n, m), optimal_cloner(m, l)).noise
         == optimal_noise_variance(n, l)
         for n, m, l in triples
     )
-    add(_count(f"optimal-cascade closure (N<=M<=L<={cascade_max})", len(triples), good))
+    add(_count(f"optimal-cascade closure (N<=M<=L<={CASCADE_MAX})", len(triples), good))
 
     good = 0
     total = 0
     for n, m in ((1, 2), (1, 3), (2, 3)):
-        for k in range(1, k_max):
+        for k in range(1, K_MAX):
             total += 1
             ok = (
                 optimal_noise_variance((k + 1) * n, (k + 1) * m).var_x
@@ -148,7 +152,7 @@ def verify_bounds(max_count: int = 64, cascade_max: int = 32, k_max: int = 16) -
                 > optimal_fidelity(k * n, k * m)
             )
             good += ok
-    add(_count(f"monotonicity in k (k<={k_max})", total, good))
+    add(_count(f"monotonicity in k (k<={K_MAX})", total, good))
 
     big = 10**4
     add(
@@ -179,19 +183,17 @@ def verify_bounds(max_count: int = 64, cascade_max: int = 32, k_max: int = 16) -
     return report
 
 
-def _oracle_fidelity(n: int, m, center: complex, grid: QuadratureGrid,
-                     cutoff=None, eps_trunc=fock_oracle.DEFAULT_EPS_TRUNC):
-    state = CoherentState(center)
-    mix = cloner.clone_reduced_output(optimal_cloner(n, m), state)
-    rho = mixture_density_matrix(mix, cutoff, grid, eps_trunc)
-    return fidelity_against(coherent_fock_vector(state.alpha, rho.cutoff, eps_trunc), rho), rho
+def _oracle_fidelity(mixture: GaussianMixtureState, grid: QuadratureGrid, cutoff: int | None):
+    """The mixture's rho and its fidelity against the mixture's own center."""
+    rho = mixture_density_matrix(mixture, cutoff, grid)
+    center = mixture.center
+    return fidelity_against(squeezed_fock_vector(center.alpha, center.r, rho.cutoff), rho), rho
 
 
 def verify_fock(
     tolerance: float = 1e-5,
     nodes: int = fock_oracle.DEFAULT_NODES,
     cutoff: int | None = None,
-    eps_trunc: float = fock_oracle.DEFAULT_EPS_TRUNC,
 ) -> VerificationReport:
     """Truncated-Fock oracle against the closed-form layer.
 
@@ -215,7 +217,8 @@ def verify_fock(
         want = float(optimal_fidelity(n, m))
         fids = []
         for center in ORACLE_CENTERS:
-            fid, rho = _oracle_fidelity(n, m, center, grid, cutoff, eps_trunc)
+            mix = cloner.clone_reduced_output(optimal_cloner(n, m), CoherentState(center))
+            fid, rho = _oracle_fidelity(mix, grid, cutoff)
             fids.append(fid)
             worst_herm = max(worst_herm, rho.hermiticity_defect())
             worst_trace = min(worst_trace, rho.trace())
@@ -226,19 +229,18 @@ def verify_fock(
         add(_close(f"center invariance ({n},{label})", 0.0, max(fids) - min(fids), tolerance))
 
     add(_close("physicality: hermiticity defect", 0.0, worst_herm, 1e-12))
-    add(_at_least("physicality: trace >= 1 - eps_trunc", 1 - eps_trunc, worst_trace))
+    add(_at_least("physicality: trace >= 1 - eps_trunc", 1 - fock_oracle.DEFAULT_EPS_TRUNC,
+                  worst_trace))
     add(_at_least("physicality: min eigenvalue >= -1e-10", -1e-10, worst_eig))
 
     rho = mixture_density_matrix(
-        GaussianMixtureState(CoherentState(0j), NoiseCovariance(0.5, 0.5)),
-        cutoff, grid, eps_trunc,
+        GaussianMixtureState(CoherentState(0j), NoiseCovariance(0.5, 0.5)), cutoff, grid
     )
     moments = quadrature_moments(rho)
     add(_close("moments: var_x of vacuum + noise 1/2", 1.0, moments.var_x, 1e-6))
     add(_close("moments: var_p of vacuum + noise 1/2", 1.0, moments.var_p, 1e-6))
     rho = mixture_density_matrix(
-        GaussianMixtureState(CoherentState(1 + 1j), NoiseCovariance(1.0, 1.0)),
-        cutoff, grid, eps_trunc,
+        GaussianMixtureState(CoherentState(1 + 1j), NoiseCovariance(1.0, 1.0)), cutoff, grid
     )
     moments = quadrature_moments(rho)
     add(_close("moments: mean_x of center 1+1j", math.sqrt(2.0), moments.mean_x, 1e-6))
@@ -252,20 +254,14 @@ def verify_fock(
         add(_close(f"cascade additivity pair {i}", 0.0, diff, tol))
 
     ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
-    base_rho = mixture_density_matrix(ref_mix, cutoff, grid, eps_trunc)
-    f_base = fidelity_against(coherent_fock_vector(1 + 0j, base_rho.cutoff, eps_trunc), base_rho)
-    fine_cut = 2 * base_rho.cutoff
-    f_fine = fidelity_against(
-        coherent_fock_vector(1 + 0j, fine_cut, eps_trunc),
-        mixture_density_matrix(ref_mix, fine_cut, QuadratureGrid(2 * grid.nodes_per_axis),
-                               eps_trunc),
-    )
+    f_base, base_rho = _oracle_fidelity(ref_mix, grid, cutoff)
+    fine_grid = QuadratureGrid(2 * grid.nodes_per_axis)
+    f_fine, _ = _oracle_fidelity(ref_mix, fine_grid, 2 * base_rho.cutoff)
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 
     spec = cloner.squeezed_variant(1, 2, 0.5)
-    sq_mix = cloner.clone_reduced_output(spec, SqueezedState(0j, 0.5))
-    sq_rho = mixture_density_matrix(sq_mix, cutoff, grid, eps_trunc)
-    sq_fid = fidelity_against(squeezed_fock_vector(0j, 0.5, sq_rho.cutoff, eps_trunc), sq_rho)
+    sq_fid, _ = _oracle_fidelity(cloner.clone_reduced_output(spec, SqueezedState(0j, 0.5)),
+                                 grid, cutoff)
     add(_close("squeezed variant fidelity (1,2,r=0.5)", 2 / 3, sq_fid, 1e-4))
     add(_close("squeezed variant noise product", 0.25,
                spec.noise.var_x * spec.noise.var_p, 0.0))

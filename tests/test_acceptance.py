@@ -7,14 +7,19 @@ identities that a report holds only as a float are asserted directly.
 """
 
 import functools
+import importlib.util
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sgclone import (
     UNBOUNDED,
     NoiseCovariance,
+    VerificationReport,
     optimal_fidelity,
     optimal_noise_variance,
     squeezed_variant,
@@ -26,6 +31,9 @@ from sgclone.verify import ORACLE_SCENARIOS
 
 #: verify_mc's default sample count; a variance v has standard error v * SE_SCALE.
 SE_SCALE = math.sqrt(2.0 / (10**6 - 1))
+#: The benchmark's harness, whose output checks pin each suite's check names,
+#: expected values and tolerances.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _checks(report):
@@ -159,3 +167,17 @@ def test_criterion_09_squeezed_variant(fock):
 @criterion(10, "fidelity strictly improves and noise strictly shrinks with k")
 def test_criterion_10_monotonicity(bounds):
     assert_check(bounds["monotonicity in k (k<=16)"], 45.0, 0.0)
+
+
+def test_reports_meet_the_benchmark_tables(fock, mc):
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    checks.check_suite(VerificationReport(list(fock.values())).as_dict(), checks.fock_table())
+    checks.check_suite(VerificationReport(list(mc.values())).as_dict(), checks.mc_table(42, 10**6))
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

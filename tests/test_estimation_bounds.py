@@ -66,6 +66,11 @@ class TestHolevoRhs:
             MeasurementWeights(0.0, 1.0)
         with pytest.raises(DomainError):
             MeasurementWeights(1.0, -2.0)
+        for bad in ("a", True, None, math.nan, math.inf, 1j):
+            with pytest.raises(DomainError):
+                MeasurementWeights(bad, 1)
+            with pytest.raises(DomainError):
+                MeasurementWeights(1, bad)
 
     def test_rejects_nonpositive_variances(self):
         with pytest.raises(DomainError):
@@ -91,6 +96,9 @@ class TestWeightGrid:
     def test_needs_odd_points(self):
         with pytest.raises(DomainError):
             weight_ratio_grid(60)
+        for bad in ("x", 3.0, 61.0, True, None):
+            with pytest.raises(DomainError):
+                weight_ratio_grid(bad)
 
     def test_symmetric_bound_peaks_at_equal_weights(self):
         grid = weight_ratio_grid()
@@ -263,3 +271,11 @@ class TestVarianceReport:
     def test_rejects_negative_variance(self):
         with pytest.raises(DomainError):
             VarianceReport(-1.0, 1.0, 0.1, 0.1, 0.0, 0.0, samples=10, seed=0)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_nonfinite_variance(self, bad, position):
+        variances = [1.0, 1.0]
+        variances[position] = bad
+        with pytest.raises(DomainError):
+            VarianceReport(*variances, 0.1, 0.1, 0.0, 0.0, samples=10, seed=0)

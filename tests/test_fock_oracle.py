@@ -30,6 +30,10 @@ FAST_GRID = QuadratureGrid(21)
 #: Displaced centre with anisotropic noise on both stages: neither the
 #: centre nor the noise is symmetric under swapping the x and p axes.
 ANISOTROPIC_CASCADE = (CoherentState(1 + 1j), NoiseCovariance(0.3, 0.7), NoiseCovariance(0.6, 0.1))
+#: Displaced squeezed centre through matched 1 -> 2 -> 4 stages.
+SQUEEZED_CASCADE = (
+    SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise, squeezed_variant(2, 4, 0.5).noise
+)
 
 
 def make_mixture(alpha, var_x, var_p=None):
@@ -213,10 +217,22 @@ class TestCascadeDensityCheck:
         half = NoiseCovariance(0.5, 0.5)
         cutoff = default_cutoff(CoherentState(0), add_noise(half, half))
         d = cutoff + 1
-        rho = fock_oracle._cascaded_density(0j, half, half, 2 * d, QuadratureGrid())[:d, :d]
+        rho = fock_oracle._cascaded_density(CoherentState(0), half, half, 2 * d, QuadratureGrid())[:d, :d]
         nbar = 1.0
         thermal = np.diag(nbar ** np.arange(d) / (nbar + 1) ** np.arange(1, d + 1))
         assert np.max(np.abs(rho - thermal)) < 1e-10
+
+    def test_squeezed_center(self):
+        assert cascade_density_check(*SQUEEZED_CASCADE) < 1e-6
+
+    def test_swapped_axes_fail_on_squeezed_center(self, monkeypatch):
+        channel = fock_oracle._shift_channel
+
+        def faulty(rho, axis, variance, grid):
+            return channel(rho, {"x": "p", "p": "x"}[axis], variance, grid)
+
+        monkeypatch.setattr(fock_oracle, "_shift_channel", faulty)
+        assert cascade_density_check(*SQUEEZED_CASCADE) > 1e-3
 
     def test_doubled_padding_does_not_move_the_gap(self, monkeypatch):
         half = NoiseCovariance(0.5, 0.5)

@@ -15,6 +15,9 @@ from sgclone import (
     coherent_fock_vector,
     displace,
     overlap_sq,
+    squeeze_fock_matrix,
+    squeezed_fock_vector,
+    squeezed_variant,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -156,3 +159,37 @@ class TestStates:
 
     def test_zero_noise_mixture_is_pure(self):
         assert GaussianMixtureState(CoherentState(0), NoiseCovariance(0, 0)).is_pure
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CoherentState("x"),
+            lambda: CoherentState("1"),
+            lambda: CoherentState(None),
+            lambda: CoherentState(True),
+            lambda: CoherentState([1]),
+            lambda: CoherentState(Fraction(10**400)),
+            lambda: SqueezedState(0, "x"),
+            lambda: SqueezedState(0, None),
+            lambda: SqueezedState(0, False),
+            lambda: SqueezedState(0, 0.5j),
+            lambda: SqueezedState(0, math.nan),
+            lambda: coherent_fock_vector("x", 8),
+            lambda: squeezed_fock_vector(0, "x", 8),
+            lambda: squeeze_fock_matrix("x", 8),
+            lambda: squeezed_variant(1, 2, "x"),
+            lambda: displace(CoherentState(0), "x"),
+            lambda: overlap_sq("x", 0),
+            lambda: overlap_sq(0, None),
+        ],
+        ids=[
+            "coherent str", "coherent digit str", "coherent None", "coherent bool",
+            "coherent list", "coherent huge Fraction", "squeezed r str", "squeezed r None",
+            "squeezed r bool", "squeezed r complex", "squeezed r nan", "coherent_fock_vector",
+            "squeezed_fock_vector r", "squeeze_fock_matrix", "squeezed_variant",
+            "displace", "overlap_sq a", "overlap_sq b",
+        ],
+    )
+    def test_non_numeric_scalars_raise_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
