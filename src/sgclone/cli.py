@@ -25,13 +25,11 @@ from .cloner import (
     squeezed_variant,
 )
 from .errors import DomainError, SGCloneError
+from .quadrature_core import _check_int
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
 
-DEFAULT_SAMPLES = 10**6
-DEFAULT_SEED = 42
-DEFAULT_TOLERANCE = 1e-5
 FORMATS = ("text", "csv", "json")
 
 
@@ -69,8 +67,10 @@ def _csv_lines(header: list[str], rows: list[list]) -> str:
 
 def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     """Variance/fidelity grid over all pairs N <= M, one row per pair."""
-    if not 1 <= n_max <= m_max:
-        raise DomainError(f"need 1 <= n_max <= m_max, got {n_max}, {m_max}")
+    _check_int("n_max", n_max, 1)
+    _check_int("m_max", m_max, n_max)
+    if fmt not in FORMATS:
+        raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     rows = []
     for n in range(1, n_max + 1):
         for m in range(n, m_max + 1):
@@ -183,27 +183,14 @@ def _run_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# The verify-* handlers import the numeric modules themselves, so that the
-# closed-form commands never load numpy.
-def _run_verify_bounds(args: argparse.Namespace) -> int:
+# The suite gets exactly the options given, so each default lives in its
+# signature; verify is imported here, so closed-form commands never load numpy.
+def _run_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    return _print_report(verify.verify_bounds(), args.format)
-
-
-def _run_verify_fock(args: argparse.Namespace) -> int:
-    from . import verify
-    from .fock_oracle import DEFAULT_NODES
-
-    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-    report = verify.verify_fock(tolerance=args.tolerance, nodes=nodes, cutoff=args.cutoff)
-    return _print_report(report, args.format)
-
-
-def _run_verify_mc(args: argparse.Namespace) -> int:
-    from . import verify
-
-    return _print_report(verify.verify_mc(samples=args.samples, seed=args.seed), args.format)
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
+    suite = getattr(verify, args.command.replace("-", "_"))
+    return _print_report(suite(**options), args.format)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,21 +228,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_max", type=int)
     p.add_argument("m_max", type=int)
 
-    p = sub.add_parser("verify-bounds", parents=[common],
+    p = sub.add_parser("verify-bounds", parents=[common], argument_default=argparse.SUPPRESS,
                        help="exact identities of the closed-form and bound layers")
-    p.set_defaults(handler=_run_verify_bounds)
+    p.set_defaults(handler=_run_verify)
 
-    p = sub.add_parser("verify-fock", parents=[common],
+    p = sub.add_parser("verify-fock", parents=[common], argument_default=argparse.SUPPRESS,
                        help="truncated-Fock oracle against the closed forms")
-    p.set_defaults(handler=_run_verify_fock)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
+    p.set_defaults(handler=_run_verify)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--cutoff", type=int)
 
-    p = sub.add_parser("verify-mc", parents=[common], help="seeded Monte Carlo measurement checks")
-    p.set_defaults(handler=_run_verify_mc)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = sub.add_parser("verify-mc", parents=[common], argument_default=argparse.SUPPRESS,
+                       help="seeded Monte Carlo measurement checks")
+    p.set_defaults(handler=_run_verify)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     return parser
 
 

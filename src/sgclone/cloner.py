@@ -32,6 +32,8 @@ from .quadrature_core import (
     Scalar,
     SqueezedState,
     _as_amplitude,
+    _check_int,
+    _check_variance,
     add_noise,
 )
 
@@ -66,12 +68,10 @@ _INPUT_ONLY = object()
 
 def _check_counts(n_in, m_out=_INPUT_ONLY) -> None:
     """The package's one copy-count check: N >= 1 and, if given, M >= N or UNBOUNDED."""
-    if isinstance(n_in, bool) or not isinstance(n_in, int) or n_in < 1:
-        raise InvalidClonerError(f"input copy count must be a positive integer, got {n_in!r}")
+    _check_int("input copy count", n_in, 1, InvalidClonerError)
     if m_out is _INPUT_ONLY or isinstance(m_out, _Unbounded):
         return
-    if isinstance(m_out, bool) or not isinstance(m_out, int) or m_out < 1:
-        raise InvalidClonerError(f"output copy count must be a positive integer or UNBOUNDED, got {m_out!r}")
+    _check_int("output copy count", m_out, 1, InvalidClonerError)
     if m_out < n_in:
         raise InvalidClonerError(f"cloning cannot reduce the copy count: {n_in} -> {m_out}")
 
@@ -83,7 +83,8 @@ class Fidelity:
     value: Scalar
 
     def __post_init__(self):
-        if not 0 <= self.value <= 1:
+        _check_variance("fidelity", self.value)
+        if self.value > 1:
             raise DomainError(f"fidelity must lie in [0, 1], got {self.value!r}")
 
     def __float__(self) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
-from .quadrature_core import CoherentState, _as_amplitude, _check_variance
+from .quadrature_core import CoherentState, _as_amplitude, _check_int, _check_variance
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class VarianceReport:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise DomainError("a variance report needs at least 2 samples")
+        _check_int("samples", self.samples, 2)
+        _check_int("seed", self.seed, 0)
         _check_variance("var_x_hat", self.var_x_hat)
         _check_variance("var_p_hat", self.var_p_hat)
 
@@ -109,8 +109,9 @@ def weight_ratio_grid(points: int = 61) -> np.ndarray:
 
     ``points`` must be odd so the grid contains the ratio 1.0 exactly.
     """
-    if isinstance(points, bool) or not isinstance(points, int) or points < 3 or points % 2 == 0:
-        raise DomainError(f"points must be an odd integer >= 3, got {points!r}")
+    _check_int("points", points, 3)
+    if points % 2 == 0:
+        raise DomainError(f"points must be odd, got {points}")
     half = (points - 1) // 2
     exponents = (np.arange(points) - half) * (3.0 / half)
     return 10.0 ** exponents
@@ -170,15 +171,6 @@ def _sample_report(x: np.ndarray, p: np.ndarray, samples: int, seed: int) -> Var
     )
 
 
-def _check_run(samples: int, seed: int) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise DomainError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise DomainError("need at least 2 samples")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def simulate_joint_measurement(
     noise_var, center: CoherentState, samples: int, seed: int
 ) -> VarianceReport:
@@ -191,7 +183,8 @@ def simulate_joint_measurement(
     clones' displacements are drawn independently: only the single-clone
     marginals are modeled, and the measured variances involve nothing else.
     """
-    _check_run(samples, seed)
+    _check_int("samples", samples, 2)
+    _check_int("seed", seed, 0)
     _check_variance("cloning noise", noise_var)
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
@@ -214,7 +207,8 @@ def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) 
     so the estimate variance is 1/N per quadrature and the estimator is
     unbiased.
     """
-    _check_run(samples, seed)
+    _check_int("samples", samples, 2)
+    _check_int("seed", seed, 0)
     _check_counts(n_copies)
     alpha = _as_amplitude(alpha)
     rng = np.random.default_rng(seed)

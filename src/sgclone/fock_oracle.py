@@ -40,6 +40,8 @@ from .quadrature_core import (
     NoiseCovariance,
     SqueezedState,
     _as_amplitude,
+    _check_int,
+    _check_variance,
     add_noise,
 )
 
@@ -93,12 +95,6 @@ def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def _check_cutoff(cutoff) -> int:
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int) or cutoff < 1:
-        raise DomainError(f"cutoff must be a positive integer, got {cutoff!r}")
-    return cutoff
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Tensor Gauss-Hermite grid matched to the Gaussian displacement weight."""
@@ -106,12 +102,11 @@ class QuadratureGrid:
     nodes_per_axis: int = DEFAULT_NODES
 
     def __post_init__(self):
-        n = self.nodes_per_axis
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise DomainError(f"nodes_per_axis must be an integer >= 2, got {n!r}")
+        _check_int("nodes_per_axis", self.nodes_per_axis, 2)
 
     def axis_nodes(self, variance) -> tuple[np.ndarray, np.ndarray]:
         """Amplitude offsets and probability weights for one quadrature axis."""
+        _check_variance("variance", variance)
         if variance == 0:
             return np.zeros(1), np.ones(1)
         t, w = _hermgauss(self.nodes_per_axis)
@@ -126,7 +121,7 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_cutoff(self.cutoff)
+        _check_int("cutoff", self.cutoff, 1)
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (self.cutoff + 1,):
             raise DimensionError(
@@ -150,7 +145,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_cutoff(self.cutoff)
+        _check_int("cutoff", self.cutoff, 1)
         mat = np.array(self.matrix, dtype=complex)
         d = self.cutoff + 1
         if mat.shape != (d, d):
@@ -182,11 +177,13 @@ def default_cutoff(center: CenterState, noise: Optional[NoiseCovariance] = None)
     """Cutoff rule ceil((|alpha| + 5 sqrt(max var) + 3)^2), clamped to [32, 256].
 
     Covers the displaced-projector support out to five noise standard
-    deviations with Poisson-tail headroom.
+    deviations with Poisson-tail headroom, and a squeezed center's own
+    photon tail with ceil(8 e^{2|r|}), |r| taken at most MAX_SQUEEZING.
     """
     vmax = 0.0 if noise is None else float(max(noise.var_x, noise.var_p))
     n = math.ceil((abs(center.alpha) + 5.0 * math.sqrt(vmax) + 3.0) ** 2)
-    return min(CUTOFF_MAX, max(CUTOFF_MIN, n))
+    squeezed = math.ceil(8.0 * math.exp(2.0 * min(abs(center.r), MAX_SQUEEZING)))
+    return min(CUTOFF_MAX, max(CUTOFF_MIN, n, squeezed))
 
 
 def _coherent_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
@@ -219,7 +216,7 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     the requested squeezing.
     """
     r = _as_amplitude(r, "squeezing parameter", real=True).real
-    _check_cutoff(cutoff)
+    _check_int("cutoff", cutoff, 1)
     if abs(r) > MAX_SQUEEZING:
         raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
     dim = cutoff + 1
@@ -258,7 +255,7 @@ def squeezed_fock_vector(alpha, r: float, cutoff: int) -> FockVector:
     """Displaced squeezed state D(alpha) S(r) |0> on the truncated basis."""
     alpha = _as_amplitude(alpha)
     r = _as_amplitude(r, "squeezing parameter", real=True).real
-    _check_cutoff(cutoff)
+    _check_int("cutoff", cutoff, 1)
     amp = _state_rows(np.array([alpha]), r, cutoff)[0]
     _check_truncation(float(np.vdot(amp, amp).real), cutoff, f"D({alpha:.3f}) S({r})|0>")
     return FockVector(cutoff, amp)
@@ -301,10 +298,8 @@ def mixture_density_matrix(
     """
     if not isinstance(mixture, GaussianMixtureState):
         raise TypeError("expected a GaussianMixtureState")
-    if cutoff is None:
-        cutoff = default_cutoff(mixture.center, mixture.noise)
-    else:
-        _check_cutoff(cutoff)
+    cutoff = default_cutoff(mixture.center, mixture.noise) if cutoff is None else cutoff
+    _check_int("cutoff", cutoff, 1)
     rho = _projector_sum(mixture.center, mixture.noise, grid or QuadratureGrid(), cutoff)
     _check_truncation(float(np.trace(rho).real), cutoff, "the mixture")
     return DensityMatrix(cutoff, rho)
@@ -375,10 +370,8 @@ def cascade_density_check(
     if not isinstance(center, (CoherentState, SqueezedState)):
         raise TypeError("center must be a CoherentState or SqueezedState")
     total = add_noise(noise_first, noise_second)
-    if cutoff is None:
-        cutoff = default_cutoff(center, total)
-    else:
-        _check_cutoff(cutoff)
+    cutoff = default_cutoff(center, total) if cutoff is None else cutoff
+    _check_int("cutoff", cutoff, 1)
     grid = grid or QuadratureGrid()
 
     d = cutoff + 1

@@ -13,6 +13,11 @@ Conventions, fixed here once for the whole package:
   the amplitude by beta with Re(beta) ~ N(0, var_x/2) and
   Im(beta) ~ N(0, var_p/2).
 
+Numeric arguments go through one of three checks:
+``_check_int`` (counts, cutoffs, nodes, samples, seeds, grid sizes),
+``_as_amplitude`` (amplitudes, squeezing, tolerance) and ``_check_variance``
+(finite non-negative reals).  Each raises an SGCloneError, never a TypeError.
+
 Everything in this module is an immutable value or a pure function.
 """
 
@@ -29,6 +34,12 @@ from .errors import DomainError
 #: Scalars may be exact (int, Fraction) or floating point; exactness is
 #: preserved wherever the inputs allow it.
 Scalar = Union[int, float, Fraction]
+
+
+def _check_int(name: str, value, minimum: int, error=DomainError) -> None:
+    """An ``int`` (not a bool) of at least ``minimum``, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _as_amplitude(value, name: str = "amplitude", real: bool = False) -> complex:
@@ -176,7 +187,8 @@ def displace(state, beta):
 
 def overlap_sq(a, b) -> float:
     """Squared overlap |<a|b>|^2 = exp(-|a - b|^2) of two coherent states."""
-    return math.exp(-abs(_as_amplitude(a) - _as_amplitude(b)) ** 2)
+    # exp(-d^2) is 0.0 in floats from d = 28 on; the cap keeps d^2 finite.
+    return math.exp(-min(abs(_as_amplitude(a) - _as_amplitude(b)), 40.0) ** 2)
 
 
 def add_noise(n1: NoiseCovariance, n2: NoiseCovariance) -> NoiseCovariance:

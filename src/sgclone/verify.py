@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cloner, estimation_bounds, fock_oracle
+from . import cloner, estimation_bounds, fock_oracle, quadrature_core
 from .cloner import UNBOUNDED, optimal_cloner, optimal_fidelity, optimal_noise_variance
-from .errors import DomainError
 from .estimation_bounds import (
     MeasurementWeights,
     holevo_rhs,
@@ -202,8 +201,7 @@ def verify_fock(
     A negative tolerance fails its checks; a NaN or infinite one, which
     no check could fail, is rejected.
     """
-    if not math.isfinite(tolerance):
-        raise DomainError(f"tolerance must be a finite number, got {tolerance!r}")
+    tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
     report = VerificationReport()
     add = report.checks.append
     grid = QuadratureGrid(nodes)

@@ -8,6 +8,7 @@ identities that a report holds only as a float are asserted directly.
 
 import functools
 import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -181,3 +182,11 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_environment_reports_its_keys():
+    code = (f"import json, sys; sys.path.insert(0, {str(PERFBENCH)!r}); import worker; "
+            "print(json.dumps(worker.environment()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert {"python", "numpy", "nproc", "cpu", "blas_threads"} <= set(json.loads(proc.stdout))

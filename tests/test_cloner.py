@@ -235,6 +235,11 @@ class TestSpecTypes:
         with pytest.raises(DomainError):
             Fidelity(-0.1)
 
+    @pytest.mark.parametrize("bad", ["x", None, 1j, True, math.nan, math.inf, Fraction(10**400)])
+    def test_fidelity_rejects_non_real_values(self, bad):
+        with pytest.raises(DomainError):
+            Fidelity(bad)
+
     def test_fidelity_ordering(self):
         assert Fidelity(Fraction(1, 2)) < Fidelity(0.75)
 

@@ -279,3 +279,10 @@ class TestVarianceReport:
         variances[position] = bad
         with pytest.raises(DomainError):
             VarianceReport(*variances, 0.1, 0.1, 0.0, 0.0, samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "samples, seed", [("x", 0), (2.5, 0), (True, 0), (10, None), (10, -1), (10, 1.0), (10, False)]
+    )
+    def test_rejects_non_integer_samples_and_seed(self, samples, seed):
+        with pytest.raises(DomainError):
+            VarianceReport(1.0, 1.0, 0.1, 0.1, 0.0, 0.0, samples=samples, seed=seed)

@@ -80,6 +80,24 @@ class TestDefaultCutoff:
     def test_clamps_high(self):
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
 
+    @pytest.mark.parametrize("r", [0.8, 1.0, 1.2, 1.5, -1.5])
+    def test_holds_a_pure_squeezed_center(self, r):
+        center = SqueezedState(1 + 1j, r)
+        rho = mixture_density_matrix(GaussianMixtureState(center, NoiseCovariance(0, 0)))
+        vec = squeezed_fock_vector(center.alpha, r, rho.cutoff)
+        assert abs(fidelity_against(vec, rho) - 1) < 1e-5
+
+    def test_squeezing_beyond_the_declared_range_is_a_truncation_error(self):
+        with pytest.raises(TruncationError):
+            mixture_density_matrix(GaussianMixtureState(SqueezedState(0, 400), NoiseCovariance(0, 0)))
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -1, "x", None, 1j, True])
+    def test_axis_nodes_reject_invalid_variance(self, variance):
+        with pytest.raises(DomainError):
+            QuadratureGrid(3).axis_nodes(variance)
+
 
 class TestMixtureDensityMatrix:
     def test_pure_vacuum_projector(self):

@@ -1,0 +1,131 @@
+"""Every numeric parameter of the public API returns or raises SGCloneError.
+
+The property calls a public callable with each numeric parameter either at a
+valid baseline or drawn from ints, bools, floats (nan, +-inf, -0.0 among
+them), fractions, a Fraction beyond the float range, strings, None and
+complex numbers.  Any exception other than an ``SGCloneError`` (a bare
+TypeError, an OverflowError) fails it.
+Size-like integers are capped at 64 so that no draw allocates a large array.
+Parameters that take objects (centre, noise, spec, weights object) are out
+of scope.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from sgclone import (
+    ClonerSpec,
+    CoherentState,
+    DensityMatrix,
+    Fidelity,
+    FockVector,
+    GaussianMixtureState,
+    MeasurementWeights,
+    NoiseCovariance,
+    QuadratureGrid,
+    SGCloneError,
+    SqueezedState,
+    VarianceReport,
+    arthurs_kelly_margin,
+    cascade_density_check,
+    chain_bound_1to2,
+    cloning_lower_bound,
+    coherent_fock_vector,
+    displace,
+    holevo_rhs,
+    mixture_density_matrix,
+    optimal_cloner,
+    optimal_fidelity,
+    optimal_measurement_variance,
+    optimal_noise_variance,
+    overlap_sq,
+    simulate_heterodyne_estimate,
+    simulate_joint_measurement,
+    squeeze_fock_matrix,
+    squeezed_fock_vector,
+    squeezed_variant,
+    symmetric_variance_bound,
+    verify_fock,
+    verify_mc,
+    weight_ratio_grid,
+)
+from sgclone.cli import emit_table
+
+#: Parameter kinds: SIZE a size-like integer (count, cutoff, nodes, samples,
+#: points), SEED any other integer, REAL a real or complex scalar
+#: (amplitude, squeezing, variance, weight, fidelity, tolerance), and
+#: None a parameter held at its baseline.
+SIZE, SEED, REAL = "size", "seed", "real"
+HALF = NoiseCovariance(0.5, 0.5)
+WEIGHTS = MeasurementWeights(1.0, 1.0)
+SMALL_GRID = QuadratureGrid(2)
+
+#: (callable, baseline arguments, kind of each argument)
+CASES = [
+    (CoherentState, (0.5,), (REAL,)),
+    (SqueezedState, (0.5, 0.5), (REAL, REAL)),
+    (NoiseCovariance, (0.5, 0.5), (REAL, REAL)),
+    (displace, (CoherentState(0), 1j), (None, REAL)),
+    (overlap_sq, (0.0, 1.0), (REAL, REAL)),
+    (Fidelity, (0.5,), (REAL,)),
+    (optimal_noise_variance, (1, 2), (SIZE, SIZE)),
+    (optimal_fidelity, (1, 2), (SIZE, SIZE)),
+    (optimal_cloner, (1, 2), (SIZE, SIZE)),
+    (squeezed_variant, (1, 2, 0.5), (SIZE, SIZE, REAL)),
+    (ClonerSpec, (1, 2, HALF), (SIZE, SIZE, None)),
+    (MeasurementWeights, (1.0, 1.0), (REAL, REAL)),
+    (VarianceReport, (1.0, 1.0, 0.1, 0.1, 0.0, 0.0, 10, 42),
+     (REAL, REAL, REAL, REAL, REAL, REAL, SIZE, SEED)),
+    (arthurs_kelly_margin, (1.0, 1.0), (REAL, REAL)),
+    (holevo_rhs, (WEIGHTS, 0.5, 0.5), (None, REAL, REAL)),
+    (symmetric_variance_bound, (WEIGHTS, 0.5, 0.5), (None, REAL, REAL)),
+    (chain_bound_1to2, (0.5, 0.5, 0.5), (REAL, REAL, REAL)),
+    (weight_ratio_grid, (61,), (SIZE,)),
+    (optimal_measurement_variance, (1,), (SIZE,)),
+    (cloning_lower_bound, (1, 2), (SIZE, SIZE)),
+    (simulate_joint_measurement, (0.5, CoherentState(0), 8, 42), (REAL, None, SIZE, SEED)),
+    (simulate_heterodyne_estimate, (1j, 2, 8, 42), (REAL, SIZE, SIZE, SEED)),
+    (QuadratureGrid, (2,), (SIZE,)),
+    (QuadratureGrid(3).axis_nodes, (0.5,), (REAL,)),
+    (FockVector, (1, [1.0, 0.0]), (SIZE, None)),
+    (DensityMatrix, (1, np.eye(2) / 2), (SIZE, None)),
+    (squeeze_fock_matrix, (0.5, 32), (REAL, SIZE)),
+    (squeezed_fock_vector, (1j, 0.5, 32), (REAL, REAL, SIZE)),
+    (coherent_fock_vector, (1j, 32), (REAL, SIZE)),
+    (mixture_density_matrix, (GaussianMixtureState(CoherentState(0), HALF), 1, SMALL_GRID),
+     (None, SIZE, None)),
+    (cascade_density_check, (CoherentState(0), HALF, HALF, 1, SMALL_GRID),
+     (None, None, None, SIZE, None)),
+    (emit_table, (1, 2), (SIZE, SIZE)),
+    # cutoff 1 fails truncation at once, so only a drawn cutoff runs the suite.
+    (verify_fock, (1e-5, 2, 1), (REAL, SIZE, SIZE)),
+    (verify_mc, (2, 42), (SIZE, SEED)),
+]
+
+ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, Fraction(10**400)])
+OTHERS = st.one_of(
+    st.booleans(), st.floats(), ODD_VALUES, st.fractions(), st.text(max_size=3), st.none(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+DRAWS = {SIZE: st.integers(-2, 64) | OTHERS, SEED: st.integers() | OTHERS,
+         REAL: st.integers() | OTHERS}
+CALLS = st.one_of([
+    st.tuples(st.just(fn), st.tuples(*(
+        st.just(value) if kind is None else st.just(value) | DRAWS[kind]
+        for value, kind in zip(baseline, kinds)
+    )))
+    for fn, baseline, kinds in CASES
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=CALLS)
+def test_numeric_arguments_return_or_raise_sgclone_error(call):
+    fn, args = call
+    try:
+        fn(*args)
+    except SGCloneError:
+        pass

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sgclone import DomainError, verify_bounds, verify_fock, verify_mc
-from sgclone.cli import main
+from sgclone.cli import emit_table, main
 
 
 class TestVerifySuites:
@@ -21,6 +21,11 @@ class TestVerifySuites:
     def test_fock_suite_rejects_nan_tolerance(self):
         with pytest.raises(DomainError):
             verify_fock(tolerance=math.nan)
+
+    @pytest.mark.parametrize("tolerance", ["x", True, None, 1j, math.inf])
+    def test_fock_suite_rejects_non_real_tolerance(self, tolerance):
+        with pytest.raises(DomainError):
+            verify_fock(tolerance=tolerance)
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
@@ -89,6 +94,13 @@ class TestCliValues:
         out = capsys.readouterr().out
         assert "3,6,0.166666666667,0.857142857143" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "args", [("a", 3), (1, 2.5), (1, math.inf), (True, 2), (0, 2), (3, 2), (1, 2, "xml")]
+    )
+    def test_table_rejects_bad_arguments(self, args):
+        with pytest.raises(DomainError):
+            emit_table(*args)
+
     def test_repeat_invocations_are_byte_identical(self, capsys):
         main(["table", "1", "8", "--format", "csv"])
         first = capsys.readouterr().out
@@ -122,6 +134,10 @@ class TestCliExitCodes:
             ["verify-mc", "--seed", "-1", "--samples", "10"],
             ["verify-fock", "--tolerance", "nan"],
             ["verify-fock", "--tolerance", "inf"],
+            ["verify-fock", "--cutoff", "0"],
+            ["verify-fock", "--nodes", "1"],
+            ["verify-mc", "--samples", "1"],
+            ["table", "0", "2"],
         ],
     )
     def test_bad_numeric_argument_is_a_usage_error(self, capsys, argv):
@@ -130,6 +146,20 @@ class TestCliExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "argv, suite, options",
+        [
+            (["verify-mc", "--samples", "20000", "--seed", "7"], verify_mc, {"samples": 20000, "seed": 7}),
+            (["verify-fock", "--nodes", "21"], verify_fock, {"nodes": 21}),
+            (["verify-bounds"], verify_bounds, {}),
+        ],
+    )
+    def test_given_options_reach_the_suite_and_the_rest_take_its_defaults(
+        self, capsys, argv, suite, options
+    ):
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(suite(**options).as_dict(), indent=2) + "\n"
 
     def test_reversed_counts_exit_two(self, capsys):
         assert main(["fidelity", "2", "1"]) == 2
