@@ -7,11 +7,12 @@ measured-value variance 1/N per quadrature, so the cloning noise must be at
 least the gap 1/N - 1/M between the N-copy and M-copy measurement limits --
 exactly the optimal cloner's noise variance.
 
-Monte Carlo simulations here model measurement outcomes semiclassically:
-Gaussian outcome distributions with the correct means and variances.  The
-bound chain only involves outcome variances, so nothing operator-level is
-needed (the Fock oracle covers that side).  All randomness flows through a
-single seeded generator, making every report bit-for-bit reproducible.
+Monte Carlo simulations model measurement outcomes semiclassically: one
+Gaussian draw per reported quadrature per sample, with the correct mean and
+variance.  The N-copy estimate is one heterodyne of |sqrt(N) alpha>, into
+which a beam-splitter network concentrates |alpha>^N.  Only outcome
+variances enter the bound chain, so nothing operator-level is needed (the
+Fock oracle covers that side); one seeded generator makes runs reproducible.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class VarianceReport:
     def __post_init__(self):
         _check_int("samples", self.samples, 2)
         _check_int("seed", self.seed, 0)
-        _check_variance("var_x_hat", self.var_x_hat)
-        _check_variance("var_p_hat", self.var_p_hat)
+        for name in ("var_x_hat", "var_p_hat", "stderr_x", "stderr_p"):
+            _check_variance(name, getattr(self, name))
+        for name in ("mean_x_hat", "mean_p_hat"):
+            _as_amplitude(getattr(self, name), name, real=True)
 
 
 def arthurs_kelly_margin(var_x, var_p):
@@ -152,23 +155,30 @@ def chain_bound_1to2(dx2, dp2, noise_var):
     _check_variance("cloning noise", noise_var)
     if dx2 * dp2 < 0.25:
         raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
-    return (dx2 + noise_var) * (dp2 + noise_var) - 1
+    try:
+        return (dx2 + noise_var) * (dp2 + noise_var) - 1
+    except OverflowError:  # an exact integer too large to mix with a float
+        raise DomainError("chain-bound margin overflows the float range") from None
+
+
+def _draw(rng: np.random.Generator, samples: int, mean: float, spread: float) -> np.ndarray:
+    """``samples`` outcomes of N(mean, spread^2): one standard normal each, scaled in place."""
+    out = rng.standard_normal(samples)
+    out *= spread
+    out += mean
+    return out
 
 
 def _sample_report(x: np.ndarray, p: np.ndarray, samples: int, seed: int) -> VarianceReport:
-    var_x = float(x.var(ddof=1))
-    var_p = float(p.var(ddof=1))
+    """Means and ddof=1 variances of the outcomes; ``x`` and ``p`` are centred in place."""
+    stats = []
+    for v in (x, p):
+        mean = float(v.mean())
+        v -= mean
+        stats += [mean, float(np.dot(v, v)) / (samples - 1)]
+    mean_x, var_x, mean_p, var_p = stats
     scale = math.sqrt(2.0 / (samples - 1))
-    return VarianceReport(
-        var_x_hat=var_x,
-        var_p_hat=var_p,
-        stderr_x=var_x * scale,
-        stderr_p=var_p * scale,
-        mean_x_hat=float(x.mean()),
-        mean_p_hat=float(p.mean()),
-        samples=samples,
-        seed=seed,
-    )
+    return VarianceReport(var_x, var_p, var_x * scale, var_p * scale, mean_x, mean_p, samples, seed)
 
 
 def simulate_joint_measurement(
@@ -176,12 +186,10 @@ def simulate_joint_measurement(
 ) -> VarianceReport:
     """Simulate x on one clone and p on the other clone of a 1 -> 2 cloner.
 
-    Per sample, each marginal draws its own displacement from
-    N(0, noise_var) and adds the intrinsic quadrature spread of the input
-    state on top, so the expected outcome variance is intrinsic + noise
-    per quadrature (1/2 + noise_var for a coherent input).  The two
-    clones' displacements are drawn independently: only the single-clone
-    marginals are modeled, and the measured variances involve nothing else.
+    Each marginal is one Gaussian draw per sample around the center's
+    quadrature mean with variance intrinsic + noise, 1/2 + noise_var for a
+    coherent input.  The two marginals are drawn independently: only the
+    single-clone marginals are modeled; the measured variances need no more.
     """
     _check_int("samples", samples, 2)
     _check_int("seed", seed, 0)
@@ -189,35 +197,25 @@ def simulate_joint_measurement(
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
     rng = np.random.default_rng(seed)
-    mean_x, mean_p = center.quadrature_means()
-    int_x, int_p = center.quadrature_variances()
-    s_noise = math.sqrt(float(noise_var))
-    x = mean_x + s_noise * rng.standard_normal(samples) \
-        + math.sqrt(int_x) * rng.standard_normal(samples)
-    p = mean_p + s_noise * rng.standard_normal(samples) \
-        + math.sqrt(int_p) * rng.standard_normal(samples)
+    (mean_x, mean_p), (int_x, int_p) = center.quadrature_means(), center.quadrature_variances()
+    x = _draw(rng, samples, mean_x, math.sqrt(int_x + float(noise_var)))
+    p = _draw(rng, samples, mean_p, math.sqrt(int_p + float(noise_var)))
     return _sample_report(x, p, samples, seed)
 
 
 def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) -> VarianceReport:
-    """Estimate (x, p) from N copies via the optimal single-copy joint measurement.
+    """Estimate (x, p) from N copies of |alpha> by the concentrated measurement.
 
-    Each copy yields an outcome pair with variance 1 per quadrature around
-    the true means; the per-sample estimate is the mean over the N copies,
-    so the estimate variance is 1/N per quadrature and the estimator is
-    unbiased.
+    A beam-splitter network concentrates the N copies into |sqrt(N) alpha>
+    and N - 1 vacua.  One heterodyne of that mode, divided by sqrt(N), is
+    an unbiased estimate with variance 1/N per quadrature, the N-copy
+    optimum: one draw per quadrature per sample, whatever N.
     """
     _check_int("samples", samples, 2)
     _check_int("seed", seed, 0)
     _check_counts(n_copies)
-    alpha = _as_amplitude(alpha)
     rng = np.random.default_rng(seed)
     mean_x, mean_p = CoherentState(alpha).quadrature_means()
-    acc_x = np.zeros(samples)
-    acc_p = np.zeros(samples)
-    for _ in range(n_copies):
-        acc_x += rng.standard_normal(samples)
-        acc_p += rng.standard_normal(samples)
-    est_x = mean_x + acc_x / n_copies
-    est_p = mean_p + acc_p / n_copies
-    return _sample_report(est_x, est_p, samples, seed)
+    spread = 1.0 / math.sqrt(n_copies)
+    x = _draw(rng, samples, mean_x, spread)
+    return _sample_report(x, _draw(rng, samples, mean_p, spread), samples, seed)

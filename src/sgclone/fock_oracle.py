@@ -179,9 +179,11 @@ def default_cutoff(center: CenterState, noise: Optional[NoiseCovariance] = None)
     Covers the displaced-projector support out to five noise standard
     deviations with Poisson-tail headroom, and a squeezed center's own
     photon tail with ceil(8 e^{2|r|}), |r| taken at most MAX_SQUEEZING.
+    The reach |alpha| + 5 sqrt(max var) is capped at sqrt(CUTOFF_MAX): any more gives CUTOFF_MAX.
     """
     vmax = 0.0 if noise is None else float(max(noise.var_x, noise.var_p))
-    n = math.ceil((abs(center.alpha) + 5.0 * math.sqrt(vmax) + 3.0) ** 2)
+    reach = math.hypot(center.alpha.real, center.alpha.imag) + 5.0 * math.sqrt(vmax)  # maybe inf
+    n = math.ceil((min(reach, math.sqrt(CUTOFF_MAX)) + 3.0) ** 2)
     squeezed = math.ceil(8.0 * math.exp(2.0 * min(abs(center.r), MAX_SQUEEZING)))
     return min(CUTOFF_MAX, max(CUTOFF_MIN, n, squeezed))
 

@@ -21,6 +21,7 @@ from sgclone import (
     symmetric_variance_bound,
     weight_ratio_grid,
 )
+from sgclone import estimation_bounds, verify
 
 SAMPLES = 200_000
 SEED = 42
@@ -175,6 +176,11 @@ class TestChainBound:
         with pytest.raises(DomainError):
             chain_bound_1to2(*args)
 
+    def test_margin_beyond_the_float_range_rejected(self):
+        # 2 * 10**308 is an exact int that cannot be mixed with a float
+        with pytest.raises(DomainError):
+            chain_bound_1to2(10**308, 0.5, 10**308)
+
 
 class TestJointMeasurementSimulation:
     def test_deterministic(self):
@@ -262,6 +268,23 @@ class TestHeterodyneSimulation:
         with pytest.raises(DomainError):
             simulate_heterodyne_estimate(0, 1, samples, SEED)
 
+    def test_draws_do_not_grow_with_the_copy_count(self):
+        # one draw per quadrature per sample: N = 8 rescales the N = 1 draws
+        one = simulate_heterodyne_estimate(0, 1, SAMPLES, SEED)
+        eight = simulate_heterodyne_estimate(0, 8, SAMPLES, SEED)
+        assert 8 * eight.var_x_hat == pytest.approx(one.var_x_hat, rel=1e-12)
+        assert 8 * eight.var_p_hat == pytest.approx(one.var_p_hat, rel=1e-12)
+
+
+class TestSampleMoments:
+    def test_match_numpy_moments(self):
+        rng = np.random.default_rng(SEED)
+        x, p = rng.normal(3.0, 2.0, 10_001), rng.normal(-1.0, 0.5, 10_001)
+        rep = estimation_bounds._sample_report(x.copy(), p.copy(), x.size, SEED)
+        for hat, ref in [(rep.var_x_hat, x.var(ddof=1)), (rep.var_p_hat, p.var(ddof=1)),
+                         (rep.mean_x_hat, x.mean()), (rep.mean_p_hat, p.mean())]:
+            assert hat == pytest.approx(ref, rel=1e-12)
+
 
 class TestVarianceReport:
     def test_requires_two_samples(self):
@@ -286,3 +309,52 @@ class TestVarianceReport:
     def test_rejects_non_integer_samples_and_seed(self, samples, seed):
         with pytest.raises(DomainError):
             VarianceReport(1.0, 1.0, 0.1, 0.1, 0.0, 0.0, samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("field", ["stderr_x", "stderr_p", "mean_x_hat", "mean_p_hat"])
+    @pytest.mark.parametrize("bad", ["x", None, 1j, math.nan, math.inf, True])
+    def test_rejects_bad_statistics(self, field, bad):
+        fields = dict(var_x_hat=1.0, var_p_hat=1.0, stderr_x=0.1, stderr_p=0.1,
+                      mean_x_hat=0.0, mean_p_hat=0.0, samples=10, seed=0)
+        fields[field] = bad
+        with pytest.raises(DomainError):
+            VarianceReport(**fields)
+
+    @pytest.mark.parametrize("field", ["stderr_x", "stderr_p"])
+    def test_rejects_negative_stderr(self, field):
+        fields = dict(stderr_x=0.1, stderr_p=0.1)
+        fields[field] = -0.1
+        with pytest.raises(DomainError):
+            VarianceReport(1.0, 1.0, **fields, mean_x_hat=-1.5, mean_p_hat=2, samples=10, seed=0)
+
+
+class TestInjectedFaults:
+    """A wrong simulation must fail the verify_mc check that covers it."""
+
+    SAMPLES = 10**5
+
+    def checks(self):
+        return {c.name: c.passed for c in verify.verify_mc(samples=self.SAMPLES).checks}
+
+    def test_estimate_divided_by_n_fails(self, monkeypatch):
+        def by_n(alpha, n_copies, samples, seed):
+            # the concentrated heterodyne outcome divided by N, not sqrt(N)
+            rng = np.random.default_rng(seed)
+            mean_x, mean_p = CoherentState(alpha).quadrature_means()
+            root = math.sqrt(n_copies)
+            x = estimation_bounds._draw(rng, samples, root * mean_x, 1.0) / n_copies
+            p = estimation_bounds._draw(rng, samples, root * mean_p, 1.0) / n_copies
+            return estimation_bounds._sample_report(x, p, samples, seed)
+
+        monkeypatch.setattr(verify, "simulate_heterodyne_estimate", by_n)
+        passed = self.checks()
+        assert passed["heterodyne estimate var_x (N=1)"]
+        assert not passed["heterodyne estimate var_x (N=2)"]
+
+    def test_joint_measurement_without_noise_fails(self, monkeypatch):
+        def noiseless(noise_var, center, samples, seed):
+            return simulate_joint_measurement(0.0, center, samples, seed)
+
+        monkeypatch.setattr(verify, "simulate_joint_measurement", noiseless)
+        passed = self.checks()
+        assert passed["noiseless clone var_x"]
+        assert not passed[f"joint measurement var_x (seed {SEED})"]

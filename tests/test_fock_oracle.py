@@ -80,6 +80,17 @@ class TestDefaultCutoff:
     def test_clamps_high(self):
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
 
+    @pytest.mark.parametrize("center, noise", [
+        (CoherentState(1e200), NoiseCovariance(0, 0)),
+        (CoherentState(complex(1.7e308, 1.7e308)), NoiseCovariance(0, 0)),
+        (CoherentState(0), NoiseCovariance(1e308, 0)),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_float_limit_inputs_get_the_largest_cutoff(self, center, noise):
+        assert default_cutoff(center, noise) == fock_oracle.CUTOFF_MAX
+        with pytest.raises(TruncationError):
+            mixture_density_matrix(GaussianMixtureState(center, noise))
+
     @pytest.mark.parametrize("r", [0.8, 1.0, 1.2, 1.5, -1.5])
     def test_holds_a_pure_squeezed_center(self, r):
         center = SqueezedState(1 + 1j, r)
