@@ -42,10 +42,6 @@ def _count_token(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
-def _count_str(m) -> str:
-    return "inf" if m is UNBOUNDED else str(m)
-
-
 def _dec(value, digits: int = 12) -> str:
     return format(float(value), f".{digits}g")
 
@@ -57,12 +53,20 @@ def _with_exact(value) -> str:
     return text
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _render(fmt: str, payload, header: list[str], rows: list[list], text: str) -> str:
+    """json of ``payload``, csv of ``header`` and ``rows`` with LF endings, or ``text``."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2)
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        return buffer.getvalue()
+    return text
+
+
+def _write(rendered: str) -> None:
+    """Print a rendered output, adding a final newline only where it lacks one."""
+    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
 
 
 def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
@@ -71,41 +75,26 @@ def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     _check_int("m_max", m_max, n_max)
     if fmt not in FORMATS:
         raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    rows = []
-    for n in range(1, n_max + 1):
-        for m in range(n, m_max + 1):
-            rows.append(
-                (n, m, float(optimal_noise_variance(n, m).var_x), float(optimal_fidelity(n, m)))
-            )
-    if fmt == "json":
-        return json.dumps(
-            {"rows": [{"n": n, "m": m, "variance": v, "fidelity": f} for n, m, v, f in rows]},
-            indent=2,
-        )
-    if fmt == "csv":
-        return _csv_lines(
-            ["n", "m", "variance", "fidelity"],
-            [[n, m, _dec(v), _dec(f)] for n, m, v, f in rows],
-        )
-    lines = [f"{'n':>4} {'m':>4} {'variance':>16} {'fidelity':>16}"]
-    lines += [f"{n:>4} {m:>4} {_dec(v):>16} {_dec(f):>16}" for n, m, v, f in rows]
-    return "\n".join(lines)
+    header = ["n", "m", "variance", "fidelity"]
+    rows = [
+        (n, m, float(optimal_noise_variance(n, m).var_x), float(optimal_fidelity(n, m)))
+        for n in range(1, n_max + 1)
+        for m in range(n, m_max + 1)
+    ]
+    cells = [[n, m, _dec(v), _dec(f)] for n, m, v, f in rows]
+    text = "\n".join("{:>4} {:>4} {:>16} {:>16}".format(*row) for row in [header, *cells])
+    return _render(fmt, {"rows": [dict(zip(header, row)) for row in rows]}, header, cells, text)
 
 
 def _emit_value(args: argparse.Namespace, fields: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(fields, indent=2))
-    elif args.format == "csv":
-        print(_csv_lines(list(fields), [[fields[k] for k in fields]]), end="")
-    else:
-        print(text)
+    _write(_render(args.format, fields, list(fields), [list(fields.values())], text))
 
 
 def _run_fidelity(args: argparse.Namespace) -> int:
     value = optimal_fidelity(args.n, args.m).value
     _emit_value(
         args,
-        {"n": args.n, "m": _count_str(args.m), "fidelity": float(value)},
+        {"n": args.n, "m": str(args.m), "fidelity": float(value)},
         _with_exact(value),
     )
     return 0
@@ -118,7 +107,7 @@ def _run_variance(args: argparse.Namespace) -> int:
             args,
             {
                 "n": args.n,
-                "m": _count_str(args.m),
+                "m": str(args.m),
                 "r": args.r,
                 "var_x": float(noise.var_x),
                 "var_p": float(noise.var_p),
@@ -129,7 +118,7 @@ def _run_variance(args: argparse.Namespace) -> int:
     value = optimal_noise_variance(args.n, args.m).var_x
     _emit_value(
         args,
-        {"n": args.n, "m": _count_str(args.m), "variance": float(value)},
+        {"n": args.n, "m": str(args.m), "variance": float(value)},
         _with_exact(value),
     )
     return 0
@@ -143,7 +132,7 @@ def _run_cascade(args: argparse.Namespace) -> int:
         args,
         {
             "n": args.n,
-            "m": _count_str(args.m),
+            "m": str(args.m),
             "l": args.l,
             "composed": float(composed.noise.var_x),
             "optimal": float(optimal.var_x),
@@ -156,30 +145,24 @@ def _run_cascade(args: argparse.Namespace) -> int:
 
 
 def _print_report(report: VerificationReport, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-    elif fmt == "csv":
-        rows = [
-            [c.name, _dec(c.expected), _dec(c.observed), _dec(c.tolerance),
-             "true" if c.passed else "false"]
-            for c in report.checks
-        ]
-        print(_csv_lines(["name", "expected", "observed", "tolerance", "pass"], rows), end="")
-    else:
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(
-                f"{status}  {c.name}: expected={_dec(c.expected)}, "
-                f"observed={_dec(c.observed)}, tol={_dec(c.tolerance)}"
-            )
-        passed = sum(c.passed for c in report.checks)
-        print(f"overall: {'PASS' if report.overall else 'FAIL'} ({passed}/{len(report.checks)})")
+    rows = [
+        [c.name, _dec(c.expected), _dec(c.observed), _dec(c.tolerance),
+         "true" if c.passed else "false"]
+        for c in report.checks
+    ]
+    lines = [
+        f"{'PASS' if c.passed else 'FAIL'}  {name}: expected={e}, observed={o}, tol={t}"
+        for c, (name, e, o, t, _) in zip(report.checks, rows)
+    ]
+    passed = sum(c.passed for c in report.checks)
+    lines.append(f"overall: {'PASS' if report.overall else 'FAIL'} ({passed}/{len(rows)})")
+    header = ["name", "expected", "observed", "tolerance", "pass"]
+    _write(_render(fmt, report.as_dict(), header, rows, "\n".join(lines)))
     return 0 if report.overall else 1
 
 
 def _run_table(args: argparse.Namespace) -> int:
-    rendered = emit_table(args.n_max, args.m_max, args.format)
-    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
+    _write(emit_table(args.n_max, args.m_max, args.format))
     return 0
 
 

@@ -51,6 +51,9 @@ class _Unbounded:
     def __repr__(self):
         return "UNBOUNDED"
 
+    def __str__(self):
+        return "inf"
+
 
 UNBOUNDED = _Unbounded()
 

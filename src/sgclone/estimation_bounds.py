@@ -161,18 +161,21 @@ def chain_bound_1to2(dx2, dp2, noise_var):
         raise DomainError("chain-bound margin overflows the float range") from None
 
 
-def _draw(rng: np.random.Generator, samples: int, mean: float, spread: float) -> np.ndarray:
-    """``samples`` outcomes of N(mean, spread^2): one standard normal each, scaled in place."""
-    out = rng.standard_normal(samples)
-    out *= spread
-    out += mean
-    return out
+def _simulate(means, spreads, samples: int, seed: int) -> VarianceReport:
+    """Report on ``samples`` outcomes of x ~ N(means[0], spreads[0]^2), then of p likewise.
 
-
-def _sample_report(x: np.ndarray, p: np.ndarray, samples: int, seed: int) -> VarianceReport:
-    """Means and ddof=1 variances of the outcomes; ``x`` and ``p`` are centred in place."""
+    The one place outcomes are drawn: each quadrature is one standard normal
+    array from the seeded generator, scaled and shifted in place, then
+    centred in place so its ddof=1 variance is a dot product.
+    """
+    _check_int("samples", samples, 2)
+    _check_int("seed", seed, 0)
+    rng = np.random.default_rng(seed)
     stats = []
-    for v in (x, p):
+    for centre, spread in zip(means, spreads):
+        v = rng.standard_normal(samples)
+        v *= spread
+        v += centre
         mean = float(v.mean())
         v -= mean
         stats += [mean, float(np.dot(v, v)) / (samples - 1)]
@@ -191,16 +194,11 @@ def simulate_joint_measurement(
     coherent input.  The two marginals are drawn independently: only the
     single-clone marginals are modeled; the measured variances need no more.
     """
-    _check_int("samples", samples, 2)
-    _check_int("seed", seed, 0)
     _check_variance("cloning noise", noise_var)
     if not isinstance(center, CoherentState):
         raise TypeError("center must be a CoherentState")
-    rng = np.random.default_rng(seed)
-    (mean_x, mean_p), (int_x, int_p) = center.quadrature_means(), center.quadrature_variances()
-    x = _draw(rng, samples, mean_x, math.sqrt(int_x + float(noise_var)))
-    p = _draw(rng, samples, mean_p, math.sqrt(int_p + float(noise_var)))
-    return _sample_report(x, p, samples, seed)
+    spreads = [math.sqrt(v + float(noise_var)) for v in center.quadrature_variances()]
+    return _simulate(center.quadrature_means(), spreads, samples, seed)
 
 
 def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) -> VarianceReport:
@@ -211,11 +209,6 @@ def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) 
     an unbiased estimate with variance 1/N per quadrature, the N-copy
     optimum: one draw per quadrature per sample, whatever N.
     """
-    _check_int("samples", samples, 2)
-    _check_int("seed", seed, 0)
     _check_counts(n_copies)
-    rng = np.random.default_rng(seed)
-    mean_x, mean_p = CoherentState(alpha).quadrature_means()
     spread = 1.0 / math.sqrt(n_copies)
-    x = _draw(rng, samples, mean_x, spread)
-    return _sample_report(x, _draw(rng, samples, mean_p, spread), samples, seed)
+    return _simulate(CoherentState(alpha).quadrature_means(), (spread, spread), samples, seed)

@@ -192,7 +192,8 @@ def _coherent_batch(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     """Rows of coherent vectors via c_0 = e^{-|a|^2/2}, c_n = c_{n-1} a/sqrt(n)."""
     alphas = np.asarray(alphas, dtype=complex)
     out = np.zeros((alphas.size, cutoff + 1), dtype=complex)
-    out[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    # exp(-|a|^2/2) is 0.0 in floats from |a| = 39 on; the cap keeps |a|^2 finite.
+    out[:, 0] = np.exp(-0.5 * np.minimum(np.abs(alphas), 40.0) ** 2)
     for n in range(1, cutoff + 1):
         out[:, n] = out[:, n - 1] * alphas / math.sqrt(n)
     return out
@@ -367,7 +368,8 @@ def cascade_density_check(
     states and are compared on the leading (cutoff + 1)^2 block.  Agreement
     certifies that cascaded cloners convolve, i.e. variances add; a channel
     with its axes swapped misses on anisotropic noise.  Coherent and
-    squeezed centers run the same code.
+    squeezed centers run the same code.  A cutoff whose block drops more
+    than DEFAULT_EPS_TRUNC of the summed trace raises TruncationError.
     """
     if not isinstance(center, (CoherentState, SqueezedState)):
         raise TypeError("center must be a CoherentState or SqueezedState")
@@ -379,8 +381,9 @@ def cascade_density_check(
     d = cutoff + 1
     dim = _PADDING * d
     rho_cascaded = _cascaded_density(center, noise_first, noise_second, dim, grid)
-    rho_summed = _projector_sum(center, total, grid, dim - 1)
-    return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed[:d, :d])))
+    rho_summed = _projector_sum(center, total, grid, dim - 1)[:d, :d]
+    _check_truncation(float(np.trace(rho_summed).real), cutoff, "the summed mixture")
+    return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed)))
 
 
 class QuadratureMoments(NamedTuple):

@@ -221,10 +221,9 @@ def verify_fock(
             worst_herm = max(worst_herm, rho.hermiticity_defect())
             worst_trace = min(worst_trace, rho.trace())
             worst_eig = min(worst_eig, rho.min_eigenvalue())
-        label = "inf" if m is UNBOUNDED else m
-        add(_close(f"oracle fidelity ({n},{label})", want, max(fids, key=lambda f: abs(f - want)),
+        add(_close(f"oracle fidelity ({n},{m})", want, max(fids, key=lambda f: abs(f - want)),
                    tolerance))
-        add(_close(f"center invariance ({n},{label})", 0.0, max(fids) - min(fids), tolerance))
+        add(_close(f"center invariance ({n},{m})", 0.0, max(fids) - min(fids), tolerance))
 
     add(_close("physicality: hermiticity defect", 0.0, worst_herm, 1e-12))
     add(_at_least("physicality: trace >= 1 - eps_trunc", 1 - fock_oracle.DEFAULT_EPS_TRUNC,
@@ -284,20 +283,25 @@ def verify_mc(samples: int = 10**6, seed: int = 42) -> VerificationReport:
         prod_se = math.hypot(rep.var_p_hat * rep.stderr_x, rep.var_x_hat * rep.stderr_p)
         add(_close(f"joint measurement variance product (seed {s})", 1.0, prod, 5 * prod_se))
 
-    rep = simulate_joint_measurement(0.0, vacuum, samples, seed)
+    # The saturation runs above keep their named seeds, and the first of them
+    # has checked ``seed``; every other run gets its own seed, so no two
+    # checks read one rescaled draw.
+    runs = 3 + len(HETERODYNE_COPIES)
+    derived = iter(int(s) for s in np.random.SeedSequence(seed).generate_state(runs))
+    rep = simulate_joint_measurement(0.0, vacuum, samples, next(derived))
     add(_close("noiseless clone var_x", 0.5, rep.var_x_hat, 5 * rep.stderr_x))
-    rep = simulate_joint_measurement(1.0, CoherentState(2 + 1j), samples, seed)
+    rep = simulate_joint_measurement(1.0, CoherentState(2 + 1j), samples, next(derived))
     add(_close("displaced center var_x at noise 1", 1.5, rep.var_x_hat, 5 * rep.stderr_x))
 
     for n in HETERODYNE_COPIES:
-        rep = simulate_heterodyne_estimate(1 + 1j, n, samples, seed)
+        rep = simulate_heterodyne_estimate(1 + 1j, n, samples, next(derived))
         add(_close(f"heterodyne estimate var_x (N={n})", 1 / n, rep.var_x_hat, 5 * rep.stderr_x))
         add(_close(f"heterodyne estimate var_p (N={n})", 1 / n, rep.var_p_hat, 5 * rep.stderr_p))
         se_mean = math.sqrt(rep.var_x_hat / samples)
         add(_close(f"heterodyne estimate unbiased (N={n})",
                    math.sqrt(2.0), rep.mean_x_hat, 5 * se_mean))
 
-    rep = simulate_heterodyne_estimate(0j, 1, samples, seed)
+    rep = simulate_heterodyne_estimate(0j, 1, samples, next(derived))
     ratios = weight_ratio_grid()
     violations = 0
     for g in ratios:
@@ -308,6 +312,6 @@ def verify_mc(samples: int = 10**6, seed: int = 42) -> VerificationReport:
             violations += 1
     add(_count("weighted bound holds across the ratio grid", ratios.size, ratios.size - violations))
 
-    again = simulate_heterodyne_estimate(0j, 1, samples, seed)
+    again = simulate_heterodyne_estimate(0j, 1, samples, rep.seed)
     add(_count("determinism: identical seed, identical report", 1, int(again == rep)))
     return report

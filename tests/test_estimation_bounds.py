@@ -278,9 +278,11 @@ class TestHeterodyneSimulation:
 
 class TestSampleMoments:
     def test_match_numpy_moments(self):
+        # the outcomes _simulate draws: x, then p, from one seeded generator
         rng = np.random.default_rng(SEED)
-        x, p = rng.normal(3.0, 2.0, 10_001), rng.normal(-1.0, 0.5, 10_001)
-        rep = estimation_bounds._sample_report(x.copy(), p.copy(), x.size, SEED)
+        x = 2.0 * rng.standard_normal(10_001) + 3.0
+        p = 0.5 * rng.standard_normal(10_001) - 1.0
+        rep = estimation_bounds._simulate((3.0, -1.0), (2.0, 0.5), x.size, SEED)
         for hat, ref in [(rep.var_x_hat, x.var(ddof=1)), (rep.var_p_hat, p.var(ddof=1)),
                          (rep.mean_x_hat, x.mean()), (rep.mean_p_hat, p.mean())]:
             assert hat == pytest.approx(ref, rel=1e-12)
@@ -338,12 +340,10 @@ class TestInjectedFaults:
     def test_estimate_divided_by_n_fails(self, monkeypatch):
         def by_n(alpha, n_copies, samples, seed):
             # the concentrated heterodyne outcome divided by N, not sqrt(N)
-            rng = np.random.default_rng(seed)
-            mean_x, mean_p = CoherentState(alpha).quadrature_means()
-            root = math.sqrt(n_copies)
-            x = estimation_bounds._draw(rng, samples, root * mean_x, 1.0) / n_copies
-            p = estimation_bounds._draw(rng, samples, root * mean_p, 1.0) / n_copies
-            return estimation_bounds._sample_report(x, p, samples, seed)
+            means = [math.sqrt(n_copies) * m / n_copies
+                     for m in CoherentState(alpha).quadrature_means()]
+            spreads = (1.0 / n_copies, 1.0 / n_copies)
+            return estimation_bounds._simulate(means, spreads, samples, seed)
 
         monkeypatch.setattr(verify, "simulate_heterodyne_estimate", by_n)
         passed = self.checks()

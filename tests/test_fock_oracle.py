@@ -85,7 +85,6 @@ class TestDefaultCutoff:
         (CoherentState(complex(1.7e308, 1.7e308)), NoiseCovariance(0, 0)),
         (CoherentState(0), NoiseCovariance(1e308, 0)),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_float_limit_inputs_get_the_largest_cutoff(self, center, noise):
         assert default_cutoff(center, noise) == fock_oracle.CUTOFF_MAX
         with pytest.raises(TruncationError):
@@ -262,6 +261,14 @@ class TestCascadeDensityCheck:
 
         monkeypatch.setattr(fock_oracle, "_shift_channel", faulty)
         assert cascade_density_check(*SQUEEZED_CASCADE) > 1e-3
+
+    def test_too_small_cutoff_is_a_truncation_error(self):
+        # the summed route keeps almost none of |10> at cutoff 4, so the gap is vacuous
+        half = NoiseCovariance(0.5, 0.5)
+        with pytest.raises(TruncationError):
+            mixture_density_matrix(GaussianMixtureState(CoherentState(10), add_noise(half, half)), 4)
+        with pytest.raises(TruncationError):
+            cascade_density_check(CoherentState(10), half, half, 4, FAST_GRID)
 
     def test_doubled_padding_does_not_move_the_gap(self, monkeypatch):
         half = NoiseCovariance(0.5, 0.5)

@@ -36,6 +36,17 @@ class TestVerifySuites:
         failed = [c for c in report.checks if not c.passed]
         assert report.overall, failed
 
+    def test_mc_checks_read_independent_draws(self):
+        # each var_x, scaled to unit expectation, comes from its own seed
+        observed = {c.name: c.observed for c in verify_mc(samples=10_000).checks}
+        scaled = [observed["joint measurement var_x (seed 42)"],
+                  observed["noiseless clone var_x"] / 0.5,
+                  observed["displaced center var_x at noise 1"] / 1.5]
+        scaled += [observed[f"heterodyne estimate var_x (N={n})"] * n for n in (1, 2, 4, 8)]
+        for i, a in enumerate(scaled):
+            for b in scaled[i + 1:]:
+                assert a != pytest.approx(b, rel=1e-9)
+
     def test_report_dict_shape(self):
         report = verify_bounds()
         payload = report.as_dict()
