@@ -25,14 +25,13 @@ from .errors import (
     InvalidClonerError,
 )
 from .quadrature_core import (
-    CenterState,
-    CoherentState,
     GaussianMixtureState,
     NoiseCovariance,
     Scalar,
     SqueezedState,
     _as_amplitude,
     _check_int,
+    _check_type,
     _check_variance,
     add_noise,
 )
@@ -109,8 +108,7 @@ class ClonerSpec:
 
     def __post_init__(self):
         _check_counts(self.n_in, self.m_out)
-        if not isinstance(self.noise, NoiseCovariance):
-            raise TypeError("noise must be a NoiseCovariance")
+        _check_type("noise", self.noise, NoiseCovariance)
 
     def meets_noise_bound(self) -> bool:
         """True when the noise product is at or above the optimal bound.
@@ -148,6 +146,7 @@ def _fidelity_of_variance(sigma2: Scalar) -> Fidelity:
 
 def fidelity_from_variance(noise: NoiseCovariance) -> Fidelity:
     """Fidelity 1/(1 + sigma^2) of a coherent state under isotropic noise."""
+    _check_type("noise", noise, NoiseCovariance)
     if not noise.is_isotropic:
         raise ContractViolationError(
             "anisotropic noise has no coherent-state fidelity; use the squeezed-variant path"
@@ -162,6 +161,8 @@ def optimal_cloner(n_in: int, m_out: CopyCount) -> ClonerSpec:
 
 def cascade(first: ClonerSpec, second: ClonerSpec) -> ClonerSpec:
     """Compose two cloners run back to back; displacement noises convolve."""
+    _check_type("first cloner", first, ClonerSpec)
+    _check_type("second cloner", second, ClonerSpec)
     if isinstance(first.m_out, _Unbounded) or first.m_out != second.n_in:
         raise CompositionError(
             f"cannot cascade: first cloner yields {first.m_out!r} copies, "
@@ -170,7 +171,7 @@ def cascade(first: ClonerSpec, second: ClonerSpec) -> ClonerSpec:
     return ClonerSpec(first.n_in, second.m_out, add_noise(first.noise, second.noise))
 
 
-def _matched_sigma2(center: CenterState, noise: NoiseCovariance) -> Scalar:
+def _matched_sigma2(center: SqueezedState, noise: NoiseCovariance) -> Scalar:
     """Noise variance in the frame where the center has isotropic 1/2 variances.
 
     Raises ContractViolationError when the noise anisotropy does not match
@@ -190,13 +191,13 @@ def _matched_sigma2(center: CenterState, noise: NoiseCovariance) -> Scalar:
     )
 
 
-def clone_reduced_output(cloner: ClonerSpec, state: CenterState) -> GaussianMixtureState:
+def clone_reduced_output(cloner: ClonerSpec, state: SqueezedState) -> GaussianMixtureState:
     """Single-clone reduced state: the input convolved with the cloner's noise.
 
     By symmetry every one of the M clones carries this same state.
     """
-    if not isinstance(state, (CoherentState, SqueezedState)):
-        raise TypeError(f"unsupported input state {type(state).__name__}")
+    _check_type("cloner", cloner, ClonerSpec)
+    _check_type("state", state, SqueezedState)
     _matched_sigma2(state, cloner.noise)
     return GaussianMixtureState(center=state, noise=cloner.noise)
 
@@ -231,4 +232,5 @@ def mixture_fidelity(mixture: GaussianMixtureState) -> Fidelity:
     amplitude: every coherent (or matched squeezed) state is cloned
     equally well.
     """
+    _check_type("mixture", mixture, GaussianMixtureState)
     return _fidelity_of_variance(_matched_sigma2(mixture.center, mixture.noise))

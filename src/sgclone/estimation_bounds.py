@@ -25,7 +25,7 @@ import numpy as np
 
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
-from .quadrature_core import CoherentState, _as_amplitude, _check_int, _check_variance
+from .quadrature_core import CoherentState, _as_amplitude, _check_int, _check_type, _check_variance
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
     ``dx2``/``dp2`` are the intrinsic quadrature variances of the state
     being measured (1/2 each for a coherent state).
     """
-    if not isinstance(weights, MeasurementWeights):
-        weights = MeasurementWeights(*weights)
+    _check_type("weights", weights, MeasurementWeights)
     _check_variance("dx2", dx2)
     _check_variance("dp2", dp2)
     if dx2 == 0 or dp2 == 0:
@@ -195,8 +194,7 @@ def simulate_joint_measurement(
     single-clone marginals are modeled; the measured variances need no more.
     """
     _check_variance("cloning noise", noise_var)
-    if not isinstance(center, CoherentState):
-        raise TypeError("center must be a CoherentState")
+    _check_type("center", center, CoherentState)
     spreads = [math.sqrt(v + float(noise_var)) for v in center.quadrature_variances()]
     return _simulate(center.quadrature_means(), spreads, samples, seed)
 

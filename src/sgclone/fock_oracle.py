@@ -34,13 +34,12 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SGCloneError, TruncationError
 from .quadrature_core import (
-    CenterState,
-    CoherentState,
     GaussianMixtureState,
     NoiseCovariance,
     SqueezedState,
     _as_amplitude,
     _check_int,
+    _check_type,
     _check_variance,
     add_noise,
 )
@@ -113,6 +112,21 @@ class QuadratureGrid:
         return math.sqrt(float(variance)) * t, w / math.sqrt(math.pi)
 
 
+def _freeze_array(owner, name: str, shape: tuple) -> None:
+    """Store ``owner.<name>`` as a read-only complex copy: finite numbers in ``shape``."""
+    try:
+        arr = np.asarray(getattr(owner, name))
+        arr = arr.astype(complex) if arr.dtype.kind in "iufcO" else None  # no bools, no "1"s
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite numbers, got {getattr(owner, name)!r:.60}")
+    if arr.shape != shape:
+        raise DimensionError(f"expected {name} of shape {shape}, got shape {arr.shape}")
+    arr.setflags(write=False)
+    object.__setattr__(owner, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """State vector over the number states |0>, ..., |cutoff>."""
@@ -122,13 +136,7 @@ class FockVector:
 
     def __post_init__(self):
         _check_int("cutoff", self.cutoff, 1)
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (self.cutoff + 1,):
-            raise DimensionError(
-                f"expected {self.cutoff + 1} amplitudes, got shape {amp.shape}"
-            )
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        _freeze_array(self, "amplitudes", (self.cutoff + 1,))
         if self.norm_sq > 1 + 1e-12:
             raise DomainError(f"amplitudes exceed unit norm: {self.norm_sq}")
 
@@ -146,12 +154,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         _check_int("cutoff", self.cutoff, 1)
-        mat = np.array(self.matrix, dtype=complex)
-        d = self.cutoff + 1
-        if mat.shape != (d, d):
-            raise DimensionError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        _freeze_array(self, "matrix", (self.cutoff + 1,) * 2)
         if self.hermiticity_defect() > _HERMITICITY_TOL:
             raise DomainError("matrix is not Hermitian within 1e-12")
 
@@ -159,7 +162,8 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        with np.errstate(over="ignore"):  # an overflowing defect is an infinite one
+            return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
@@ -173,7 +177,7 @@ class DensityMatrix:
             raise DomainError(f"negative eigenvalue {self.min_eigenvalue()}")
 
 
-def default_cutoff(center: CenterState, noise: Optional[NoiseCovariance] = None) -> int:
+def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = None) -> int:
     """Cutoff rule ceil((|alpha| + 5 sqrt(max var) + 3)^2), clamped to [32, 256].
 
     Covers the displaced-projector support out to five noise standard
@@ -181,7 +185,10 @@ def default_cutoff(center: CenterState, noise: Optional[NoiseCovariance] = None)
     photon tail with ceil(8 e^{2|r|}), |r| taken at most MAX_SQUEEZING.
     The reach |alpha| + 5 sqrt(max var) is capped at sqrt(CUTOFF_MAX): any more gives CUTOFF_MAX.
     """
-    vmax = 0.0 if noise is None else float(max(noise.var_x, noise.var_p))
+    _check_type("center", center, SqueezedState)
+    noise = NoiseCovariance(0, 0) if noise is None else noise
+    _check_type("noise", noise, NoiseCovariance)
+    vmax = float(max(noise.var_x, noise.var_p))
     reach = math.hypot(center.alpha.real, center.alpha.imag) + 5.0 * math.sqrt(vmax)  # maybe inf
     n = math.ceil((min(reach, math.sqrt(CUTOFF_MAX)) + 3.0) ** 2)
     squeezed = math.ceil(8.0 * math.exp(2.0 * min(abs(center.r), MAX_SQUEEZING)))
@@ -270,7 +277,7 @@ def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
 
 
 def _projector_sum(
-    center: CenterState, noise: NoiseCovariance, grid: QuadratureGrid, cutoff: int
+    center: SqueezedState, noise: NoiseCovariance, grid: QuadratureGrid, cutoff: int
 ) -> np.ndarray:
     """The center's projector averaged over the grid's displacements of the noise.
 
@@ -299,17 +306,20 @@ def mixture_density_matrix(
     Sums the center's displaced projectors over the grid; zero noise is
     the one-node rule, the pure projector.
     """
-    if not isinstance(mixture, GaussianMixtureState):
-        raise TypeError("expected a GaussianMixtureState")
+    _check_type("mixture", mixture, GaussianMixtureState)
     cutoff = default_cutoff(mixture.center, mixture.noise) if cutoff is None else cutoff
     _check_int("cutoff", cutoff, 1)
-    rho = _projector_sum(mixture.center, mixture.noise, grid or QuadratureGrid(), cutoff)
+    grid = QuadratureGrid() if grid is None else grid
+    _check_type("grid", grid, QuadratureGrid)
+    rho = _projector_sum(mixture.center, mixture.noise, grid, cutoff)
     _check_truncation(float(np.trace(rho).real), cutoff, "the mixture")
     return DensityMatrix(cutoff, rho)
 
 
 def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
     """Overlap <state|rho|state>; the value must come out real."""
+    _check_type("state", state, FockVector)
+    _check_type("rho", rho, DensityMatrix)
     if state.cutoff != rho.cutoff:
         raise DimensionError(
             f"cutoff mismatch: state has {state.cutoff}, density matrix has {rho.cutoff}"
@@ -339,7 +349,7 @@ def _shift_channel(rho: np.ndarray, axis: str, variance, grid: QuadratureGrid) -
 
 
 def _cascaded_density(
-    center: CenterState,
+    center: SqueezedState,
     noise_first: NoiseCovariance,
     noise_second: NoiseCovariance,
     dim: int,
@@ -352,7 +362,7 @@ def _cascaded_density(
 
 
 def cascade_density_check(
-    center: CenterState,
+    center: SqueezedState,
     noise_first: NoiseCovariance,
     noise_second: NoiseCovariance,
     cutoff: Optional[int] = None,
@@ -371,12 +381,12 @@ def cascade_density_check(
     squeezed centers run the same code.  A cutoff whose block drops more
     than DEFAULT_EPS_TRUNC of the summed trace raises TruncationError.
     """
-    if not isinstance(center, (CoherentState, SqueezedState)):
-        raise TypeError("center must be a CoherentState or SqueezedState")
+    _check_type("center", center, SqueezedState)
     total = add_noise(noise_first, noise_second)
     cutoff = default_cutoff(center, total) if cutoff is None else cutoff
     _check_int("cutoff", cutoff, 1)
-    grid = grid or QuadratureGrid()
+    grid = QuadratureGrid() if grid is None else grid
+    _check_type("grid", grid, QuadratureGrid)
 
     d = cutoff + 1
     dim = _PADDING * d
@@ -399,6 +409,7 @@ def quadrature_moments(rho: DensityMatrix) -> QuadratureMoments:
     The operators act on a basis two levels larger than the state so the
     quadratic moments see no truncation edge.
     """
+    _check_type("rho", rho, DensityMatrix)
     d = rho.cutoff + 1
     padded = np.zeros((d + 2, d + 2), dtype=complex)
     padded[:d, :d] = rho.matrix

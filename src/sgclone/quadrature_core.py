@@ -13,10 +13,10 @@ Conventions, fixed here once for the whole package:
   the amplitude by beta with Re(beta) ~ N(0, var_x/2) and
   Im(beta) ~ N(0, var_p/2).
 
-Numeric arguments go through one of three checks:
-``_check_int`` (counts, cutoffs, nodes, samples, seeds, grid sizes),
-``_as_amplitude`` (amplitudes, squeezing, tolerance) and ``_check_variance``
-(finite non-negative reals).  Each raises an SGCloneError, never a TypeError.
+Arguments go through one of four checks: ``_check_int`` (counts, cutoffs,
+nodes, samples, seeds, grid sizes), ``_as_amplitude`` (amplitudes, squeezing,
+tolerance), ``_check_variance`` (finite non-negative reals) and ``_check_type``
+(objects: states, noises, specs, grids).  Each raises DomainError, not TypeError.
 
 Everything in this module is an immutable value or a pure function.
 """
@@ -24,10 +24,10 @@ Everything in this module is an immutable value or a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Real
-from typing import ClassVar, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -42,12 +42,18 @@ def _check_int(name: str, value, minimum: int, error=DomainError) -> None:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """An instance of ``kind``, else DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _as_amplitude(value, name: str = "amplitude", real: bool = False) -> complex:
     """A finite complex number (with no imaginary part if ``real``), else DomainError."""
     try:
-        if isinstance(value, (bool, str)):  # complex() would take True and "1"
-            raise TypeError
         alpha = complex(value)
+        if isinstance(value, (bool, str)):  # complex() takes True and "1"
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -77,24 +83,6 @@ def _check_variance(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class CoherentState:
-    """Coherent state |alpha>; intrinsic variances are 1/2 by convention."""
-
-    alpha: complex
-    #: A coherent state is the squeezed state with r = 0.
-    r: ClassVar[float] = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_amplitude(self.alpha))
-
-    def quadrature_means(self) -> tuple[float, float]:
-        return math.sqrt(2.0) * self.alpha.real, math.sqrt(2.0) * self.alpha.imag
-
-    def quadrature_variances(self) -> tuple[float, float]:
-        return 0.5, 0.5
-
-
-@dataclass(frozen=True)
 class SqueezedState:
     """Quadrature-squeezed state: var_x = e^{2r}/2, var_p = e^{-2r}/2.
 
@@ -116,8 +104,11 @@ class SqueezedState:
         return 0.5 * math.exp(2.0 * self.r), 0.5 * math.exp(-2.0 * self.r)
 
 
-#: Center states a Gaussian mixture may be built around.
-CenterState = Union[CoherentState, SqueezedState]
+@dataclass(frozen=True)
+class CoherentState(SqueezedState):
+    """Coherent state |alpha>: the squeezed state with r = 0, variances 1/2."""
+
+    r: float = field(default=0.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,14 +139,12 @@ class GaussianMixtureState:
     intrinsic plus noise, per quadrature.
     """
 
-    center: CenterState
+    center: SqueezedState
     noise: NoiseCovariance
 
     def __post_init__(self):
-        if not isinstance(self.center, (CoherentState, SqueezedState)):
-            raise TypeError(f"unsupported center state {type(self.center).__name__}")
-        if not isinstance(self.noise, NoiseCovariance):
-            raise TypeError("noise must be a NoiseCovariance")
+        _check_type("center", self.center, SqueezedState)
+        _check_type("noise", self.noise, NoiseCovariance)
 
     @property
     def is_pure(self) -> bool:
@@ -176,13 +165,10 @@ def displace(state, beta):
     level, so displacement is plain complex addition on the center.
     """
     beta = _as_amplitude(beta)
-    if isinstance(state, CoherentState):
-        return CoherentState(state.alpha + beta)
-    if isinstance(state, SqueezedState):
-        return SqueezedState(state.alpha + beta, state.r)
     if isinstance(state, GaussianMixtureState):
         return GaussianMixtureState(displace(state.center, beta), state.noise)
-    raise TypeError(f"cannot displace {type(state).__name__}")
+    _check_type("state", state, SqueezedState)
+    return replace(state, alpha=state.alpha + beta)
 
 
 def overlap_sq(a, b) -> float:
@@ -193,4 +179,6 @@ def overlap_sq(a, b) -> float:
 
 def add_noise(n1: NoiseCovariance, n2: NoiseCovariance) -> NoiseCovariance:
     """Convolve two displacement distributions: variances add componentwise."""
+    _check_type("first noise", n1, NoiseCovariance)
+    _check_type("second noise", n2, NoiseCovariance)
     return NoiseCovariance(n1.var_x + n2.var_x, n1.var_p + n2.var_p)

@@ -8,6 +8,7 @@ from sgclone import (
     DensityMatrix,
     DimensionError,
     DomainError,
+    FockVector,
     GaussianMixtureState,
     NoiseCovariance,
     QuadratureGrid,
@@ -363,6 +364,39 @@ class TestDensityMatrixType:
     def test_shape_checked(self):
         with pytest.raises(DimensionError):
             DensityMatrix(3, np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FockVector(1, [math.nan, 0]),
+            lambda: FockVector(1, [complex(0, math.inf), 0]),
+            lambda: FockVector(1, "ab"),
+            lambda: FockVector(1, ["1", "0"]),
+            lambda: FockVector(1, [True, False]),
+            lambda: FockVector(1, None),
+            lambda: DensityMatrix(1, [[math.nan, 0], [0, math.nan]]),
+            lambda: DensityMatrix(1, [[1, 0], [0, -math.inf]]),
+            lambda: DensityMatrix(1, [["1", "0"], ["0", "0"]]),
+            lambda: DensityMatrix(1, [[CoherentState(0), 0], [0, 0]]),
+        ],
+        ids=[
+            "vector nan", "vector inf", "vector str", "vector digit strs", "vector bools",
+            "vector None", "matrix nan", "matrix inf", "matrix digit strs", "matrix object",
+        ],
+    )
+    def test_rejects_non_finite_or_non_numeric_entries(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_overflowing_hermiticity_defect_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            DensityMatrix(1, [[0, 1e308], [-1e308, 0]])
+
+    def test_copies_and_freezes_the_caller_array(self):
+        mat = np.eye(2) / 2
+        rho = DensityMatrix(1, mat)
+        mat[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.5 and not rho.matrix.flags.writeable
 
 
 class TestConvergence:

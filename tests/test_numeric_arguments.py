@@ -1,13 +1,16 @@
-"""Every numeric parameter of the public API returns or raises SGCloneError.
+"""Every numeric and object parameter of the public API returns or raises SGCloneError.
 
-The property calls a public callable with each numeric parameter either at a
-valid baseline or drawn from ints, bools, floats (nan, +-inf, -0.0 among
+The first property calls a public callable with each numeric parameter either
+at a valid baseline or drawn from ints, bools, floats (nan, +-inf, -0.0 among
 them), fractions, a Fraction beyond the float range, strings, None and
 complex numbers.  Any exception other than an ``SGCloneError`` (a bare
 TypeError, an OverflowError) fails it.
 Size-like integers are capped at 64 so that no draw allocates a large array.
-Parameters that take objects (centre, noise, spec, weights object) are out
-of scope.
+
+The second property does the same for the parameters that take objects
+(centre, noise, spec, weights, grid, mixture, state, rho, amplitudes and
+matrix), drawn from None, ints, floats, strings, tuples, ndarrays and package
+objects of every kind, right or wrong; a float it returns must be finite.
 """
 
 import math
@@ -15,8 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgclone import (
+    UNBOUNDED,
     ClonerSpec,
     CoherentState,
     DensityMatrix,
@@ -29,19 +34,27 @@ from sgclone import (
     SGCloneError,
     SqueezedState,
     VarianceReport,
+    add_noise,
     arthurs_kelly_margin,
+    cascade,
     cascade_density_check,
     chain_bound_1to2,
+    clone_reduced_output,
     cloning_lower_bound,
     coherent_fock_vector,
+    default_cutoff,
     displace,
+    fidelity_against,
+    fidelity_from_variance,
     holevo_rhs,
     mixture_density_matrix,
+    mixture_fidelity,
     optimal_cloner,
     optimal_fidelity,
     optimal_measurement_variance,
     optimal_noise_variance,
     overlap_sq,
+    quadrature_moments,
     simulate_heterodyne_estimate,
     simulate_joint_measurement,
     squeeze_fock_matrix,
@@ -112,20 +125,76 @@ OTHERS = st.one_of(
 )
 DRAWS = {SIZE: st.integers(-2, 64) | OTHERS, SEED: st.integers() | OTHERS,
          REAL: st.integers() | OTHERS}
-CALLS = st.one_of([
-    st.tuples(st.just(fn), st.tuples(*(
-        st.just(value) if kind is None else st.just(value) | DRAWS[kind]
-        for value, kind in zip(baseline, kinds)
-    )))
-    for fn, baseline, kinds in CASES
-])
+
+
+def calls(cases):
+    """Calls of each case, every marked argument at its baseline or drawn for its kind."""
+    return st.one_of([
+        st.tuples(st.just(fn), st.tuples(*(
+            st.just(value) if kind is None else st.just(value) | DRAWS[kind]
+            for value, kind in zip(baseline, kinds)
+        )))
+        for fn, baseline, kinds in cases
+    ])
 
 
 @settings(max_examples=400, deadline=None)
-@given(call=CALLS)
+@given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):
     fn, args = call
     try:
         fn(*args)
     except SGCloneError:
         pass
+
+
+#: OBJ marks a parameter that takes an object.
+OBJ = "object"
+MIX = GaussianMixtureState(CoherentState(0), HALF)
+SPEC = optimal_cloner(1, 2)
+RHO = DensityMatrix(1, np.eye(2) / 2)
+VACUUM = coherent_fock_vector(0, 1)
+
+#: (callable, baseline arguments, kind of each argument)
+OBJECT_CASES = [
+    (GaussianMixtureState, (CoherentState(0), HALF), (OBJ, OBJ)),
+    (displace, (CoherentState(0), 1j), (OBJ, None)),
+    (add_noise, (HALF, HALF), (OBJ, OBJ)),
+    (ClonerSpec, (1, 2, HALF), (None, None, OBJ)),
+    (cascade, (SPEC, optimal_cloner(2, 4)), (OBJ, OBJ)),
+    (clone_reduced_output, (SPEC, CoherentState(0)), (OBJ, OBJ)),
+    (fidelity_from_variance, (HALF,), (OBJ,)),
+    (mixture_fidelity, (MIX,), (OBJ,)),
+    (holevo_rhs, (WEIGHTS, 0.5, 0.5), (OBJ, None, None)),
+    (symmetric_variance_bound, (WEIGHTS,), (OBJ,)),
+    (simulate_joint_measurement, (0.5, CoherentState(0), 8, 42), (None, OBJ, None, None)),
+    (default_cutoff, (CoherentState(0), HALF), (OBJ, OBJ)),
+    (FockVector, (1, [1.0, 0.0]), (None, OBJ)),
+    (DensityMatrix, (1, np.eye(2) / 2), (None, OBJ)),
+    (mixture_density_matrix, (MIX, 1, SMALL_GRID), (OBJ, None, OBJ)),
+    (cascade_density_check, (CoherentState(0), HALF, HALF, 1, SMALL_GRID),
+     (OBJ, OBJ, OBJ, None, OBJ)),
+    (fidelity_against, (VACUUM, RHO), (OBJ, OBJ)),
+    (quadrature_moments, (RHO,), (OBJ,)),
+]
+
+PACKAGE_OBJECTS = [
+    CoherentState(0), SqueezedState(1j, 0.5), HALF, MIX, SPEC, WEIGHTS, SMALL_GRID, RHO,
+    VACUUM, UNBOUNDED, (1.0, 1.0), object(),
+]
+DRAWS[OBJ] = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=3), st.sampled_from(PACKAGE_OBJECTS),
+    arrays(st.sampled_from([float, complex, bool, "U1"]), st.sampled_from([(2,), (3,), (2, 2)])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=calls(OBJECT_CASES))
+def test_object_arguments_return_or_raise_sgclone_error(call):
+    fn, args = call
+    try:
+        result = fn(*args)
+    except SGCloneError:
+        return
+    values = result if isinstance(result, tuple) else (result,)
+    assert all(math.isfinite(v) for v in values if isinstance(v, float))

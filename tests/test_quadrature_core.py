@@ -160,6 +160,29 @@ class TestStates:
     def test_zero_noise_mixture_is_pure(self):
         assert GaussianMixtureState(CoherentState(0), NoiseCovariance(0, 0)).is_pure
 
+    def test_coherent_is_the_r_zero_squeezed_state(self):
+        coherent = CoherentState(1 + 1j)
+        assert isinstance(coherent, SqueezedState)
+        assert coherent.r == 0.0
+        assert coherent.quadrature_variances() == SqueezedState(1 + 1j, 0).quadrature_variances()
+
+    def test_coherent_differs_from_the_unsqueezed_squeezed_state(self):
+        assert CoherentState(0) != SqueezedState(0, 0)
+        assert SqueezedState(0, 0) != CoherentState(0)
+
+    @given(amplitudes)
+    def test_equal_coherent_states_hash_equal(self, alpha):
+        assert CoherentState(alpha) == CoherentState(alpha)
+        assert hash(CoherentState(alpha)) == hash(CoherentState(alpha))
+
+    def test_reprs(self):
+        assert repr(CoherentState(1 + 1j)) == "CoherentState(alpha=(1+1j))"
+        assert repr(SqueezedState(1 + 1j, 0.5)) == "SqueezedState(alpha=(1+1j), r=0.5)"
+
+    def test_displace_keeps_the_state_type(self):
+        assert type(displace(CoherentState(0), 1j)) is CoherentState
+        assert type(displace(SqueezedState(0, 0.5), 1j)) is SqueezedState
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -1,0 +1,34 @@
+"""Type checks keep their one home: ``quadrature_core._check_type``.
+
+A wrong-typed object argument raises DomainError through ``_check_type``,
+and a coherent state is the r = 0 ``SqueezedState``, so no module needs a
+hand-written ``raise TypeError``, a centre-state union or a
+(CoherentState, SqueezedState) tuple.  This scan fails on any of them in
+``src/sgclone``.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sgclone"
+FORBIDDEN = {
+    "raise TypeError": r"raise\s+TypeError\b",
+    "CenterState": r"\bCenterState\b",
+    "(CoherentState, SqueezedState)":
+        r"\(\s*(CoherentState\s*,\s*SqueezedState|SqueezedState\s*,\s*CoherentState)\s*,?\s*\)",
+}
+
+
+@pytest.mark.parametrize("label", FORBIDDEN)
+def test_no_ad_hoc_type_guard(label):
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "quadrature_core.py" in sources
+    hits = [
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}"
+        for path in sources
+        for text in [path.read_text()]
+        for match in re.finditer(FORBIDDEN[label], text)
+    ]
+    assert not hits, f"{label} in {', '.join(hits)}"
