@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .cloner import (
     UNBOUNDED,
@@ -26,9 +25,6 @@ from .cloner import (
 )
 from .errors import DomainError, SGCloneError
 from .quadrature_core import _check_int
-
-if TYPE_CHECKING:
-    from .verify import VerificationReport
 
 FORMATS = ("text", "csv", "json")
 
@@ -64,17 +60,10 @@ def _render(fmt: str, payload, header: list[str], rows: list[list], text: str) -
     return text
 
 
-def _write(rendered: str) -> None:
-    """Print a rendered output, adding a final newline only where it lacks one."""
-    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
-
-
-def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
-    """Variance/fidelity grid over all pairs N <= M, one row per pair."""
+def _table(n_max: int, m_max: int):
+    """Variance/fidelity grid over all pairs N <= M, one row per pair, unrendered."""
     _check_int("n_max", n_max, 1)
     _check_int("m_max", m_max, n_max)
-    if fmt not in FORMATS:
-        raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     header = ["n", "m", "variance", "fidelity"]
     rows = [
         (n, m, float(optimal_noise_variance(n, m).var_x), float(optimal_fidelity(n, m)))
@@ -83,68 +72,62 @@ def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     ]
     cells = [[n, m, _dec(v), _dec(f)] for n, m, v, f in rows]
     text = "\n".join("{:>4} {:>4} {:>16} {:>16}".format(*row) for row in [header, *cells])
-    return _render(fmt, {"rows": [dict(zip(header, row)) for row in rows]}, header, cells, text)
+    return {"rows": [dict(zip(header, row)) for row in rows]}, header, cells, text
 
 
-def _emit_value(args: argparse.Namespace, fields: dict, text: str) -> None:
-    _write(_render(args.format, fields, list(fields), [list(fields.values())], text))
+def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
+    """Variance/fidelity grid over all pairs N <= M, one row per pair."""
+    table = _table(n_max, m_max)
+    if fmt not in FORMATS:
+        raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return _render(fmt, *table)
 
 
-def _run_fidelity(args: argparse.Namespace) -> int:
+def _value(fields: dict, text: str):
+    """A one-record output: ``fields`` as the payload, the csv header and the row."""
+    return fields, list(fields), [list(fields.values())], text
+
+
+def _run_fidelity(args: argparse.Namespace):
     value = optimal_fidelity(args.n, args.m).value
-    _emit_value(
-        args,
-        {"n": args.n, "m": str(args.m), "fidelity": float(value)},
-        _with_exact(value),
-    )
-    return 0
+    return _value({"n": args.n, "m": str(args.m), "fidelity": float(value)}, _with_exact(value))
 
 
-def _run_variance(args: argparse.Namespace) -> int:
+def _run_variance(args: argparse.Namespace):
     if args.r != 0:
         noise = squeezed_variant(args.n, args.m, args.r).noise
-        _emit_value(
-            args,
-            {
-                "n": args.n,
-                "m": str(args.m),
-                "r": args.r,
-                "var_x": float(noise.var_x),
-                "var_p": float(noise.var_p),
-            },
+        return _value(
+            {"n": args.n, "m": str(args.m), "r": args.r,
+             "var_x": float(noise.var_x), "var_p": float(noise.var_p)},
             f"var_x {_dec(noise.var_x, 6)}, var_p {_dec(noise.var_p, 6)}",
         )
-        return 0
     value = optimal_noise_variance(args.n, args.m).var_x
-    _emit_value(
-        args,
-        {"n": args.n, "m": str(args.m), "variance": float(value)},
-        _with_exact(value),
-    )
-    return 0
+    return _value({"n": args.n, "m": str(args.m), "variance": float(value)}, _with_exact(value))
 
 
-def _run_cascade(args: argparse.Namespace) -> int:
+def _run_cascade(args: argparse.Namespace):
     composed = cascade(optimal_cloner(args.n, args.m), optimal_cloner(args.m, args.l))
     optimal = optimal_noise_variance(args.n, args.l)
     match = composed.noise == optimal
-    _emit_value(
-        args,
-        {
-            "n": args.n,
-            "m": str(args.m),
-            "l": args.l,
-            "composed": float(composed.noise.var_x),
-            "optimal": float(optimal.var_x),
-            "match": match,
-        },
+    return _value(
+        {"n": args.n, "m": str(args.m), "l": args.l, "composed": float(composed.noise.var_x),
+         "optimal": float(optimal.var_x), "match": match},
         f"composed {_with_exact(composed.noise.var_x)}, "
         f"optimal {_with_exact(optimal.var_x)}, match={'true' if match else 'false'}",
     )
-    return 0
 
 
-def _print_report(report: VerificationReport, fmt: str) -> int:
+def _run_table(args: argparse.Namespace):
+    return _table(args.n_max, args.m_max)
+
+
+# The suite gets exactly the options given, so each default lives in its
+# signature; verify is imported here, so closed-form commands never load numpy.
+def _run_verify(args: argparse.Namespace):
+    from . import verify
+
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
+    report = getattr(verify, args.command.replace("-", "_"))(**options)
     rows = [
         [c.name, _dec(c.expected), _dec(c.observed), _dec(c.tolerance),
          "true" if c.passed else "false"]
@@ -157,23 +140,7 @@ def _print_report(report: VerificationReport, fmt: str) -> int:
     passed = sum(c.passed for c in report.checks)
     lines.append(f"overall: {'PASS' if report.overall else 'FAIL'} ({passed}/{len(rows)})")
     header = ["name", "expected", "observed", "tolerance", "pass"]
-    _write(_render(fmt, report.as_dict(), header, rows, "\n".join(lines)))
-    return 0 if report.overall else 1
-
-
-def _run_table(args: argparse.Namespace) -> int:
-    _write(emit_table(args.n_max, args.m_max, args.format))
-    return 0
-
-
-# The suite gets exactly the options given, so each default lives in its
-# signature; verify is imported here, so closed-form commands never load numpy.
-def _run_verify(args: argparse.Namespace) -> int:
-    from . import verify
-
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
-    suite = getattr(verify, args.command.replace("-", "_"))
-    return _print_report(suite(**options), args.format)
+    return report.as_dict(), header, rows, "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -231,12 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: write its output and return its exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        payload, header, rows, text = args.handler(args)
     except SGCloneError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    rendered = _render(args.format, payload, header, rows, text)
+    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
+    return 0 if payload.get("overall", True) else 1
 
 
 if __name__ == "__main__":

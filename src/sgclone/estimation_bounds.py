@@ -69,6 +69,17 @@ class VarianceReport:
             _as_amplitude(getattr(self, name), name, real=True)
 
 
+def _finite(name: str, compute):
+    """``compute()`` where its value is exact or a finite float, else DomainError."""
+    try:
+        value = compute()
+    except OverflowError:  # an exact integer too large to mix with a float
+        value = math.inf
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{name} overflows the float range")
+    return value
+
+
 def arthurs_kelly_margin(var_x, var_p):
     """Margin var_x * var_p - 1 of the simultaneous-measurement bound.
 
@@ -77,7 +88,7 @@ def arthurs_kelly_margin(var_x, var_p):
     """
     _check_variance("var_x", var_x)
     _check_variance("var_p", var_p)
-    return var_x * var_p - 1
+    return _finite("simultaneous-measurement margin", lambda: var_x * var_p - 1)
 
 
 def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
@@ -87,11 +98,17 @@ def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
     being measured (1/2 each for a coherent state).
     """
     _check_type("weights", weights, MeasurementWeights)
+    return _weighted_bound(weights.g_x, weights.g_p, dx2, dp2)
+
+
+def _weighted_bound(g_x, g_p, dx2, dp2):
+    """g_x dx2 + g_p dp2 + sqrt(g_x) sqrt(g_p), whose last product alone never overflows."""
     _check_variance("dx2", dx2)
     _check_variance("dp2", dp2)
     if dx2 == 0 or dp2 == 0:
         raise DomainError("intrinsic variances must be positive")
-    return weights.g_x * dx2 + weights.g_p * dp2 + math.sqrt(weights.g_x * weights.g_p)
+    root = math.sqrt(g_x) * math.sqrt(g_p)
+    return _finite("weighted bound", lambda: g_x * dx2 + g_p * dp2 + root)
 
 
 def symmetric_variance_bound(weights: MeasurementWeights, dx2=0.5, dp2=0.5):
@@ -100,10 +117,13 @@ def symmetric_variance_bound(weights: MeasurementWeights, dx2=0.5, dp2=0.5):
     Dividing the weighted bound by g_x + g_p gives
     (g_x dx2 + g_p dp2 + sqrt(g_x g_p)) / (g_x + g_p); for a coherent state
     this is at most 1 with the maximum attained exactly at g_x = g_p, which
-    is why the tightest symmetric bound is variance 1.
+    is why the tightest symmetric bound is variance 1.  The weights are
+    scaled to sum to 1 first, so no term overflows where the bound is finite.
     """
-    rhs = holevo_rhs(weights, dx2, dp2)
-    return rhs / (weights.g_x + weights.g_p)
+    _check_type("weights", weights, MeasurementWeights)
+    scale = max(weights.g_x, weights.g_p)
+    g_x, g_p = weights.g_x / scale, weights.g_p / scale
+    return _weighted_bound(g_x / (g_x + g_p), g_p / (g_x + g_p), dx2, dp2)
 
 
 def weight_ratio_grid(points: int = 61) -> np.ndarray:
@@ -154,10 +174,7 @@ def chain_bound_1to2(dx2, dp2, noise_var):
     _check_variance("cloning noise", noise_var)
     if dx2 * dp2 < 0.25:
         raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
-    try:
-        return (dx2 + noise_var) * (dp2 + noise_var) - 1
-    except OverflowError:  # an exact integer too large to mix with a float
-        raise DomainError("chain-bound margin overflows the float range") from None
+    return _finite("chain-bound margin", lambda: (dx2 + noise_var) * (dp2 + noise_var) - 1)
 
 
 def _simulate(means, spreads, samples: int, seed: int) -> VarianceReport:

@@ -324,7 +324,10 @@ def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
         raise DimensionError(
             f"cutoff mismatch: state has {state.cutoff}, density matrix has {rho.cutoff}"
         )
-    value = complex(np.vdot(state.amplitudes, rho.matrix @ state.amplitudes))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        value = complex(np.vdot(state.amplitudes, rho.matrix @ state.amplitudes))
+    if not np.isfinite(value):
+        raise DomainError("fidelity overflows the float range")
     if abs(value.imag) >= 1e-12:
         raise SGCloneError(f"fidelity has a non-negligible imaginary part: {value.imag:.3e}")
     return float(value.real)
@@ -416,8 +419,13 @@ def quadrature_moments(rho: DensityMatrix) -> QuadratureMoments:
     a = _ladder(d + 2)
     x = (a + a.T) / math.sqrt(2.0)
     p = 1j * (a.T - a) / math.sqrt(2.0)
-    mean_x = float(np.trace(padded @ x).real)
-    mean_p = float(np.trace(padded @ p).real)
-    var_x = float(np.trace(padded @ x @ x).real) - mean_x**2
-    var_p = float(np.trace(padded @ p @ p).real) - mean_p**2
-    return QuadratureMoments(mean_x, mean_p, var_x, var_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        means = [float(np.trace(padded @ q).real) for q in (x, p)]
+        seconds = [float(np.trace(padded @ q @ q).real) for q in (x, p)]
+    try:
+        variances = [second - mean**2 for second, mean in zip(seconds, means)]
+    except OverflowError:  # a mean too large to square
+        variances = [math.inf]
+    if not all(map(math.isfinite, means + variances)):
+        raise DomainError("quadrature moments overflow the float range")
+    return QuadratureMoments(*means, *variances)

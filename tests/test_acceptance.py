@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
-Each criterion reads named checks from the ``verify-*`` reports, run once per
-module at their defaults, and pins each check's tolerance and expected value
+Each criterion reads named checks from the ``verify-*`` reports, run once at
+their defaults, and pins each check's tolerance and expected value
 (for a count check, its total) along with its verdict.  Exact rational
 identities that a report holds only as a float are asserted directly.
 """
@@ -24,7 +24,6 @@ from sgclone import (
     optimal_fidelity,
     optimal_noise_variance,
     squeezed_variant,
-    verify_bounds,
     verify_fock,
     verify_mc,
 )
@@ -42,8 +41,8 @@ def _checks(report):
 
 
 @pytest.fixture(scope="module")
-def bounds():
-    return _checks(verify_bounds())
+def bounds(bounds_report):
+    return _checks(bounds_report)
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,11 @@ class TestWeightGrid:
         assert np.argmax(bounds) == 30
         assert np.all(np.delete(bounds, 30) < 1.0)
 
+    @pytest.mark.parametrize("g", [1e-300, 1.0, 1e200, 1e308])
+    def test_symmetric_bound_is_one_at_equal_weights_of_any_size(self, g):
+        # g_x g_p and g_x + g_p overflow at 1e200 and 1e308; the bound does not
+        assert symmetric_variance_bound(MeasurementWeights(g, g)) == 1.0
+
 
 class TestMeasurementVariances:
     def test_single_copy(self):

@@ -4,20 +4,22 @@ The first property calls a public callable with each numeric parameter either
 at a valid baseline or drawn from ints, bools, floats (nan, +-inf, -0.0 among
 them), fractions, a Fraction beyond the float range, strings, None and
 complex numbers.  Any exception other than an ``SGCloneError`` (a bare
-TypeError, an OverflowError) fails it.
+TypeError, an OverflowError) fails it, and so does a float it returns that is
+not finite.
 Size-like integers are capped at 64 so that no draw allocates a large array.
 
 The second property does the same for the parameters that take objects
 (centre, noise, spec, weights, grid, mixture, state, rho, amplitudes and
-matrix), drawn from None, ints, floats, strings, tuples, ndarrays and package
-objects of every kind, right or wrong; a float it returns must be finite.
+matrix), drawn from None, ints, floats, strings, tuples, ndarrays, package
+objects of every kind, right or wrong, and Hermitian matrices whose entries
+are too large for their moments or fidelity; a float it returns must be finite.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgclone import (
@@ -138,14 +140,22 @@ def calls(cases):
     ])
 
 
+def returns_finite_or_raises_sgclone_error(fn, args):
+    try:
+        result = fn(*args)
+    except SGCloneError:
+        return
+    values = result if isinstance(result, tuple) else (result,)
+    assert all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 @settings(max_examples=400, deadline=None)
+@example(call=(arthurs_kelly_margin, (1e308, 1e308)))
+@example(call=(holevo_rhs, (WEIGHTS, 1e308, 1e308)))
+@example(call=(chain_bound_1to2, (1e308, 1e308, 1e308)))
 @given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):
-    fn, args = call
-    try:
-        fn(*args)
-    except SGCloneError:
-        pass
+    returns_finite_or_raises_sgclone_error(*call)
 
 
 #: OBJ marks a parameter that takes an object.
@@ -178,23 +188,30 @@ OBJECT_CASES = [
     (quadrature_moments, (RHO,), (OBJ,)),
 ]
 
+HUGE_WEIGHTS = MeasurementWeights(1e308, 1e308)
+SPREAD = FockVector(1, [0.6, 0.8])
 PACKAGE_OBJECTS = [
-    CoherentState(0), SqueezedState(1j, 0.5), HALF, MIX, SPEC, WEIGHTS, SMALL_GRID, RHO,
-    VACUUM, UNBOUNDED, (1.0, 1.0), object(),
+    CoherentState(0), SqueezedState(1j, 0.5), HALF, MIX, SPEC, WEIGHTS, HUGE_WEIGHTS, SMALL_GRID,
+    RHO, VACUUM, SPREAD, UNBOUNDED, (1.0, 1.0), object(),
 ]
+
+
+def huge_rho(entry, diagonal):
+    """A Hermitian matrix with every off-diagonal entry, and the diagonal if asked, at ``entry``."""
+    return DensityMatrix(1, [[entry * diagonal, entry], [entry, entry * diagonal]])
+
+
 DRAWS[OBJ] = st.one_of(
     st.none(), st.integers(), st.floats(), st.text(max_size=3), st.sampled_from(PACKAGE_OBJECTS),
     arrays(st.sampled_from([float, complex, bool, "U1"]), st.sampled_from([(2,), (3,), (2, 2)])),
+    st.builds(huge_rho, st.floats(1e150, 1e308), st.booleans()),
 )
 
 
 @settings(max_examples=400, deadline=None)
+@example(call=(quadrature_moments, (huge_rho(1e200, False),)))
+@example(call=(fidelity_against, (SPREAD, huge_rho(1e308, True))))
+@example(call=(symmetric_variance_bound, (HUGE_WEIGHTS,)))
 @given(call=calls(OBJECT_CASES))
 def test_object_arguments_return_or_raise_sgclone_error(call):
-    fn, args = call
-    try:
-        result = fn(*args)
-    except SGCloneError:
-        return
-    values = result if isinstance(result, tuple) else (result,)
-    assert all(math.isfinite(v) for v in values if isinstance(v, float))
+    returns_finite_or_raises_sgclone_error(*call)

@@ -1,12 +1,14 @@
-"""Type checks keep their one home: ``quadrature_core._check_type``.
+"""Type checks and CLI output each keep their one home.
 
-A wrong-typed object argument raises DomainError through ``_check_type``,
-and a coherent state is the r = 0 ``SqueezedState``, so no module needs a
-hand-written ``raise TypeError``, a centre-state union or a
-(CoherentState, SqueezedState) tuple.  This scan fails on any of them in
-``src/sgclone``.
+A wrong-typed object argument raises DomainError through
+``quadrature_core._check_type``, and a coherent state is the r = 0
+``SqueezedState``, so no module needs a hand-written ``raise TypeError``, a
+centre-state union or a (CoherentState, SqueezedState) tuple.  This scan
+fails on any of them in ``src/sgclone``.  Every CLI handler returns its
+output, so ``cli.main`` is the one place that writes stdout.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -32,3 +34,16 @@ def test_no_ad_hoc_type_guard(label):
         for match in re.finditer(FORBIDDEN[label], text)
     ]
     assert not hits, f"{label} in {', '.join(hits)}"
+
+
+def test_cli_writes_stdout_only_in_main():
+    writers = [
+        function.name
+        for function in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if (isinstance(node, ast.Attribute) and node.attr == "stdout")
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            and not any(keyword.arg == "file" for keyword in node.keywords))
+    ]
+    assert writers == ["main"]

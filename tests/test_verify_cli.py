@@ -8,10 +8,9 @@ from sgclone.cli import emit_table, main
 
 
 class TestVerifySuites:
-    def test_bounds_suite_passes(self):
-        report = verify_bounds()
-        assert report.overall
-        assert len(report.checks) >= 15
+    def test_bounds_suite_passes(self, bounds_report):
+        assert bounds_report.overall
+        assert len(bounds_report.checks) >= 15
 
     def test_fock_suite_passes_on_reduced_grid(self):
         report = verify_fock(nodes=21)
@@ -47,9 +46,8 @@ class TestVerifySuites:
             for b in scaled[i + 1:]:
                 assert a != pytest.approx(b, rel=1e-9)
 
-    def test_report_dict_shape(self):
-        report = verify_bounds()
-        payload = report.as_dict()
+    def test_report_dict_shape(self, bounds_report):
+        payload = bounds_report.as_dict()
         assert set(payload) == {"checks", "overall"}
         assert payload["overall"] is True
         assert set(payload["checks"][0]) == {"name", "expected", "observed", "tolerance", "pass"}
@@ -132,10 +130,18 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
-    def test_corrupted_tolerance_exits_one(self, capsys):
-        code = main(["verify-fock", "--tolerance=-1", "--nodes", "21", "--format", "json"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_corrupted_tolerance_exits_one(self, capsys, fmt):
+        code = main(["verify-fock", "--tolerance=-1", "--nodes", "21", "--format", fmt])
         assert code == 1
-        assert json.loads(capsys.readouterr().out)["overall"] is False
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out)["overall"] is False
+        elif fmt == "csv":
+            assert "false" in [row.rsplit(",", 1)[1] for row in captured.out.splitlines()]
+        else:
+            assert captured.out.splitlines()[-1].startswith("overall: FAIL")
 
     @pytest.mark.parametrize(
         "argv",
@@ -167,10 +173,11 @@ class TestCliExitCodes:
         ],
     )
     def test_given_options_reach_the_suite_and_the_rest_take_its_defaults(
-        self, capsys, argv, suite, options
+        self, capsys, bounds_report, argv, suite, options
     ):
         assert main([*argv, "--format", "json"]) == 0
-        assert capsys.readouterr().out == json.dumps(suite(**options).as_dict(), indent=2) + "\n"
+        expected = bounds_report if suite is verify_bounds else suite(**options)
+        assert capsys.readouterr().out == json.dumps(expected.as_dict(), indent=2) + "\n"
 
     def test_reversed_counts_exit_two(self, capsys):
         assert main(["fidelity", "2", "1"]) == 2
