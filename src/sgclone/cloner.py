@@ -33,6 +33,7 @@ from .quadrature_core import (
     _check_int,
     _check_type,
     _check_variance,
+    _finite,
     add_noise,
 )
 
@@ -177,11 +178,9 @@ def _matched_sigma2(center: SqueezedState, noise: NoiseCovariance) -> Scalar:
     Raises ContractViolationError when the noise anisotropy does not match
     the center's squeezing.
     """
-    if center.r != 0:  # at r = 0, keep exact noise exact
-        sx = noise.var_x * math.exp(-2.0 * center.r)
-        sp = noise.var_p * math.exp(2.0 * center.r)
-    else:
-        sx, sp = noise.var_x, noise.var_p
+    e, sx, sp = 2.0 * center.r, noise.var_x, noise.var_p
+    if e != 0 and not noise.is_zero:  # keep exact noise exact at r = 0; zero noise matches any r
+        sx, sp = _finite("matched noise", lambda: (sx * math.exp(-e), sp * math.exp(e)))
     if sx == sp:
         return sx
     if math.isclose(sx, sp, rel_tol=_MATCH_RTOL, abs_tol=1e-15):

@@ -7,12 +7,12 @@ measured-value variance 1/N per quadrature, so the cloning noise must be at
 least the gap 1/N - 1/M between the N-copy and M-copy measurement limits --
 exactly the optimal cloner's noise variance.
 
-Monte Carlo simulations model measurement outcomes semiclassically: one
-Gaussian draw per reported quadrature per sample, with the correct mean and
-variance.  The N-copy estimate is one heterodyne of |sqrt(N) alpha>, into
-which a beam-splitter network concentrates |alpha>^N.  Only outcome
-variances enter the bound chain, so nothing operator-level is needed (the
-Fock oracle covers that side); one seeded generator makes runs reproducible.
+The Monte Carlo simulations draw each reported quadrature from the Gaussian
+the closed forms predict, one seeded standard-normal block per report, so
+they confirm the variances they are given: they test the sample statistics,
+the seeding and the five-standard-error gates, while the Fock oracle checks
+the states.  The N-copy estimate is one heterodyne of |sqrt(N) alpha>, into
+which a beam-splitter network concentrates |alpha>^N.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import numpy as np
 
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
-from .quadrature_core import CoherentState, _as_amplitude, _check_int, _check_type, _check_variance
+from .quadrature_core import (
+    CoherentState, _as_amplitude, _check_int, _check_type, _check_variance, _finite,
+)
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,6 @@ class VarianceReport:
             _check_variance(name, getattr(self, name))
         for name in ("mean_x_hat", "mean_p_hat"):
             _as_amplitude(getattr(self, name), name, real=True)
-
-
-def _finite(name: str, compute):
-    """``compute()`` where its value is exact or a finite float, else DomainError."""
-    try:
-        value = compute()
-    except OverflowError:  # an exact integer too large to mix with a float
-        value = math.inf
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"{name} overflows the float range")
-    return value
 
 
 def arthurs_kelly_margin(var_x, var_p):
@@ -180,22 +171,19 @@ def chain_bound_1to2(dx2, dp2, noise_var):
 def _simulate(means, spreads, samples: int, seed: int) -> VarianceReport:
     """Report on ``samples`` outcomes of x ~ N(means[0], spreads[0]^2), then of p likewise.
 
-    The one place outcomes are drawn: each quadrature is one standard normal
-    array from the seeded generator, scaled and shifted in place, then
-    centred in place so its ddof=1 variance is a dot product.
+    The one place outcomes are drawn: one (2, samples) standard-normal block
+    from the seeded generator, centred in place.  A quadrature reports
+    mean + spread * (its row's mean) and spread^2 * (its row's ddof=1
+    variance); no outcome is shifted, so the variance ignores the centre.
     """
     _check_int("samples", samples, 2)
     _check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    stats = []
-    for centre, spread in zip(means, spreads):
-        v = rng.standard_normal(samples)
-        v *= spread
-        v += centre
-        mean = float(v.mean())
-        v -= mean
-        stats += [mean, float(np.dot(v, v)) / (samples - 1)]
-    mean_x, var_x, mean_p, var_p = stats
+    z = np.random.default_rng(seed).standard_normal((2, samples))
+    z_mean = z.mean(axis=1)
+    z -= z_mean[:, None]
+    z_var = np.einsum("ij,ij->i", z, z) / (samples - 1)
+    (mean_x, var_x), (mean_p, var_p) = [(m + s * zm, s**2 * zv) for m, s, zm, zv in zip(
+        means, spreads, z_mean.tolist(), z_var.tolist())]
     scale = math.sqrt(2.0 / (samples - 1))
     return VarianceReport(var_x, var_p, var_x * scale, var_p * scale, mean_x, mean_p, samples, seed)
 

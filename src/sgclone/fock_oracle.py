@@ -41,6 +41,7 @@ from .quadrature_core import (
     _check_int,
     _check_type,
     _check_variance,
+    _finite,
     add_noise,
 )
 
@@ -159,7 +160,8 @@ class DensityMatrix:
             raise DomainError("matrix is not Hermitian within 1e-12")
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        with np.errstate(over="ignore"):  # an overflowing trace is rejected by _finite
+            return _finite("trace", lambda: float(np.trace(self.matrix).real))
 
     def hermiticity_defect(self) -> float:
         with np.errstate(over="ignore"):  # an overflowing defect is an infinite one
@@ -324,10 +326,9 @@ def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
         raise DimensionError(
             f"cutoff mismatch: state has {state.cutoff}, density matrix has {rho.cutoff}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        value = complex(np.vdot(state.amplitudes, rho.matrix @ state.amplitudes))
-    if not np.isfinite(value):
-        raise DomainError("fidelity overflows the float range")
+    amps = state.amplitudes
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _finite
+        value = _finite("fidelity", lambda: complex(np.vdot(amps, rho.matrix @ amps)))
     if abs(value.imag) >= 1e-12:
         raise SGCloneError(f"fidelity has a non-negligible imaginary part: {value.imag:.3e}")
     return float(value.real)
@@ -419,13 +420,8 @@ def quadrature_moments(rho: DensityMatrix) -> QuadratureMoments:
     a = _ladder(d + 2)
     x = (a + a.T) / math.sqrt(2.0)
     p = 1j * (a.T - a) / math.sqrt(2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _finite
         means = [float(np.trace(padded @ q).real) for q in (x, p)]
         seconds = [float(np.trace(padded @ q @ q).real) for q in (x, p)]
-    try:
-        variances = [second - mean**2 for second, mean in zip(seconds, means)]
-    except OverflowError:  # a mean too large to square
-        variances = [math.inf]
-    if not all(map(math.isfinite, means + variances)):
-        raise DomainError("quadrature moments overflow the float range")
-    return QuadratureMoments(*means, *variances)
+    return _finite("a quadrature moment", lambda: QuadratureMoments(
+        *means, *(second - mean**2 for second, mean in zip(seconds, means))))

@@ -16,7 +16,8 @@ Conventions, fixed here once for the whole package:
 Arguments go through one of four checks: ``_check_int`` (counts, cutoffs,
 nodes, samples, seeds, grid sizes), ``_as_amplitude`` (amplitudes, squeezing,
 tolerance), ``_check_variance`` (finite non-negative reals) and ``_check_type``
-(objects: states, noises, specs, grids).  Each raises DomainError, not TypeError.
+(objects: states, noises, specs, grids).  Numeric results go through one guard,
+``_finite``.  Each raises DomainError, not TypeError.
 
 Everything in this module is an immutable value or a pure function.
 """
@@ -63,6 +64,18 @@ def _as_amplitude(value, name: str = "amplitude", real: bool = False) -> complex
     return alpha
 
 
+def _finite(name: str, compute):
+    """``compute()``, a value or tuple; a non-finite float or complex in it is a DomainError."""
+    try:
+        value = compute()
+    except OverflowError:  # math.exp, a float power, an int too large for a float
+        value = math.inf
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, (float, complex)) and not all(map(math.isfinite, (v.real, v.imag))):
+            raise DomainError(f"{name} overflows the float range")
+    return value
+
+
 #: Types accepted without the (slow) ``numbers.Real`` ABC check; bool is
 #: its own type, so it still takes the slow path and is rejected there.
 _EXACT_REALS = (int, float, Fraction)
@@ -101,7 +114,8 @@ class SqueezedState:
         return math.sqrt(2.0) * self.alpha.real, math.sqrt(2.0) * self.alpha.imag
 
     def quadrature_variances(self) -> tuple[float, float]:
-        return 0.5 * math.exp(2.0 * self.r), 0.5 * math.exp(-2.0 * self.r)
+        e = 2.0 * self.r
+        return _finite("squeezed variance", lambda: (0.5 * math.exp(e), 0.5 * math.exp(-e)))
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,8 @@ class GaussianMixtureState:
         return self.center.quadrature_means()
 
     def quadrature_variances(self) -> tuple[float, float]:
-        vx, vp = self.center.quadrature_variances()
-        return vx + float(self.noise.var_x), vp + float(self.noise.var_p)
+        (vx, vp), n = self.center.quadrature_variances(), self.noise
+        return _finite("mixture variance", lambda: (vx + float(n.var_x), vp + float(n.var_p)))
 
 
 def displace(state, beta):

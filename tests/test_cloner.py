@@ -227,6 +227,26 @@ class TestMixtureFidelity:
         with pytest.raises(ContractViolationError):
             mixture_fidelity(mix)
 
+    @pytest.mark.parametrize("r", [400.0, -400.0])
+    def test_zero_noise_matches_any_squeezing(self, r):
+        mix = GaussianMixtureState(SqueezedState(1j, r), NoiseCovariance(0, 0))
+        assert mixture_fidelity(mix).value == 1
+        assert clone_reduced_output(optimal_cloner(2, 2), SqueezedState(1j, r)).is_pure
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mixture_fidelity(
+                GaussianMixtureState(SqueezedState(0, 400), NoiseCovariance(1, 1))),
+            lambda: clone_reduced_output(optimal_cloner(1, 2), SqueezedState(0, 400)),
+            lambda: clone_reduced_output(optimal_cloner(1, 2), SqueezedState(0, -400)),
+        ],
+        ids=["mixture_fidelity", "clone_reduced_output", "clone_reduced_output r<0"],
+    )
+    def test_noise_beyond_the_float_range_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            call()
+
 
 class TestSpecTypes:
     def test_fidelity_bounds(self):

@@ -214,6 +214,14 @@ class TestJointMeasurementSimulation:
         assert abs(rep.var_x_hat - 1.5) < 5 * rep.stderr_x
         assert abs(rep.mean_x_hat - 2 * math.sqrt(2)) < 5 * math.sqrt(rep.var_x_hat / SAMPLES)
 
+    @pytest.mark.parametrize("center", [2 + 1j, 1e8, 1e16, 1e300])
+    def test_same_draws_give_the_same_variances_at_any_center(self, center):
+        # The cloner's noise does not depend on the input, so neither may the report's variance.
+        at_origin = simulate_joint_measurement(0.5, CoherentState(0), 10**5, 3)
+        rep = simulate_joint_measurement(0.5, CoherentState(center), 10**5, 3)
+        assert rep.var_x_hat == pytest.approx(at_origin.var_x_hat, rel=1e-15, abs=0)
+        assert rep.var_p_hat == pytest.approx(at_origin.var_p_hat, rel=1e-15, abs=0)
+
     def test_stderr_formula(self):
         rep = simulate_joint_measurement(0.5, CoherentState(0), 10_000, SEED)
         assert rep.stderr_x == rep.var_x_hat * math.sqrt(2 / (10_000 - 1))

@@ -392,6 +392,11 @@ class TestDensityMatrixType:
         with pytest.raises(DomainError):
             DensityMatrix(1, [[0, 1e308], [-1e308, 0]])
 
+    @pytest.mark.parametrize("method", ["trace", "validate"])
+    def test_overflowing_trace_is_a_domain_error(self, method):
+        with pytest.raises(DomainError, match="trace overflows the float range"):
+            getattr(DensityMatrix(1, np.diag([1e308, 1e308])), method)()
+
     def test_copies_and_freezes_the_caller_array(self):
         mat = np.eye(2) / 2
         rho = DensityMatrix(1, mat)

@@ -152,6 +152,20 @@ class TestStates:
     def test_squeezed_r_zero_matches_coherent(self):
         assert SqueezedState(1j, 0.0).quadrature_variances() == (0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            SqueezedState(0, 400),
+            SqueezedState(0, -400),
+            GaussianMixtureState(SqueezedState(0, 400), NoiseCovariance(1, 1)),
+            GaussianMixtureState(SqueezedState(0, 354), NoiseCovariance(1.7e308, 0)),
+        ],
+        ids=["r=400", "r=-400", "mixture r=400", "mixture sum"],
+    )
+    def test_variances_beyond_the_float_range_are_a_domain_error(self, state):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            state.quadrature_variances()
+
     def test_mixture_moments_are_additive(self):
         mix = GaussianMixtureState(CoherentState(1 + 1j), NoiseCovariance(0.5, 0.25))
         assert mix.quadrature_variances() == (1.0, 0.75)

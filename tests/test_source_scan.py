@@ -1,11 +1,13 @@
-"""Type checks and CLI output each keep their one home.
+"""Type checks, the finite-result guard and CLI output each keep their one home.
 
 A wrong-typed object argument raises DomainError through
 ``quadrature_core._check_type``, and a coherent state is the r = 0
 ``SqueezedState``, so no module needs a hand-written ``raise TypeError``, a
 centre-state union or a (CoherentState, SqueezedState) tuple.  This scan
-fails on any of them in ``src/sgclone``.  Every CLI handler returns its
-output, so ``cli.main`` is the one place that writes stdout.
+fails on any of them in ``src/sgclone``.  A numeric result beyond the float
+range is rejected only by ``quadrature_core._finite``, so no other module words
+that error.  Every CLI handler returns its output, so ``cli.main`` is the one
+place that writes stdout.
 """
 
 import ast
@@ -34,6 +36,15 @@ def test_no_ad_hoc_type_guard(label):
         for match in re.finditer(FORBIDDEN[label], text)
     ]
     assert not hits, f"{label} in {', '.join(hits)}"
+
+
+def test_only_quadrature_core_rejects_an_overflow():
+    hits = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"overflows? the float range", path.read_text())
+    ]
+    assert hits == ["quadrature_core.py"]
 
 
 def test_cli_writes_stdout_only_in_main():
