@@ -64,15 +64,10 @@ CopyCount = Union[int, _Unbounded]
 _MATCH_RTOL = 1e-9
 
 
-# Default of _check_counts' m_out: only the input count is checked.  Not None,
-# so that a None passed as an output count is still rejected.
-_INPUT_ONLY = object()
-
-
-def _check_counts(n_in, m_out=_INPUT_ONLY) -> None:
-    """The package's one copy-count check: N >= 1 and, if given, M >= N or UNBOUNDED."""
+def _check_counts(n_in, m_out=UNBOUNDED) -> None:
+    """The package's one copy-count check: N >= 1 and M >= N or UNBOUNDED, the default."""
     _check_int("input copy count", n_in, 1, InvalidClonerError)
-    if m_out is _INPUT_ONLY or isinstance(m_out, _Unbounded):
+    if isinstance(m_out, _Unbounded):
         return
     _check_int("output copy count", m_out, 1, InvalidClonerError)
     if m_out < n_in:

@@ -29,6 +29,9 @@ from .quadrature_core import (
     CoherentState, _as_amplitude, _check_int, _check_type, _check_variance, _finite,
 )
 
+#: Largest sample count a simulation draws: its (2, samples) block is 1.6 GB.
+SAMPLES_LIMIT = 10**8
+
 
 @dataclass(frozen=True)
 class MeasurementWeights:
@@ -176,7 +179,7 @@ def _simulate(means, spreads, samples: int, seed: int) -> VarianceReport:
     mean + spread * (its row's mean) and spread^2 * (its row's ddof=1
     variance); no outcome is shifted, so the variance ignores the centre.
     """
-    _check_int("samples", samples, 2)
+    _check_int("samples", samples, 2, maximum=SAMPLES_LIMIT)
     _check_int("seed", seed, 0)
     z = np.random.default_rng(seed).standard_normal((2, samples))
     z_mean = z.mean(axis=1)

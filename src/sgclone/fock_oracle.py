@@ -50,10 +50,17 @@ DEFAULT_NODES = 41
 DEFAULT_EPS_TRUNC = 1e-8
 CUTOFF_MIN = 32
 CUTOFF_MAX = 256
+#: Largest cutoff an array-building function accepts, and largest node count
+#: per axis of a grid (hermgauss builds a nodes x nodes companion matrix).
+CUTOFF_LIMIT = 1024
+NODES_LIMIT = 2048
 #: Declared validity range of the squeeze operator at the default cutoffs.
 MAX_SQUEEZING = 1.5
 
+#: Physicality floors: the largest hermiticity defect (also the trace or norm
+#: excess over 1) and the lowest eigenvalue a density matrix may carry.
 _HERMITICITY_TOL = 1e-12
+_EIGENVALUE_FLOOR = -1e-10
 _UNITARITY_TOL = 1e-8
 _SQUEEZE_TAIL_TOL = 1e-5
 _CHUNK = 65536
@@ -102,7 +109,7 @@ class QuadratureGrid:
     nodes_per_axis: int = DEFAULT_NODES
 
     def __post_init__(self):
-        _check_int("nodes_per_axis", self.nodes_per_axis, 2)
+        _check_int("nodes_per_axis", self.nodes_per_axis, 2, maximum=NODES_LIMIT)
 
     def axis_nodes(self, variance) -> tuple[np.ndarray, np.ndarray]:
         """Amplitude offsets and probability weights for one quadrature axis."""
@@ -138,7 +145,7 @@ class FockVector:
     def __post_init__(self):
         _check_int("cutoff", self.cutoff, 1)
         _freeze_array(self, "amplitudes", (self.cutoff + 1,))
-        if self.norm_sq > 1 + 1e-12:
+        if self.norm_sq > 1 + _HERMITICITY_TOL:
             raise DomainError(f"amplitudes exceed unit norm: {self.norm_sq}")
 
     @property
@@ -157,7 +164,7 @@ class DensityMatrix:
         _check_int("cutoff", self.cutoff, 1)
         _freeze_array(self, "matrix", (self.cutoff + 1,) * 2)
         if self.hermiticity_defect() > _HERMITICITY_TOL:
-            raise DomainError("matrix is not Hermitian within 1e-12")
+            raise DomainError(f"matrix is not Hermitian within {_HERMITICITY_TOL}")
 
     def trace(self) -> float:
         with np.errstate(over="ignore"):  # an overflowing trace is rejected by _finite
@@ -173,9 +180,9 @@ class DensityMatrix:
     def validate(self) -> None:
         """Physicality check: trace within DEFAULT_EPS_TRUNC of 1, no negativity."""
         tr = self.trace()
-        if not 1 - DEFAULT_EPS_TRUNC <= tr <= 1 + 1e-12:
+        if not 1 - DEFAULT_EPS_TRUNC <= tr <= 1 + _HERMITICITY_TOL:
             raise TruncationError(f"trace {tr} outside [1 - {DEFAULT_EPS_TRUNC}, 1]")
-        if self.min_eigenvalue() < -1e-10:
+        if self.min_eigenvalue() < _EIGENVALUE_FLOOR:
             raise DomainError(f"negative eigenvalue {self.min_eigenvalue()}")
 
 
@@ -228,7 +235,7 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     the requested squeezing.
     """
     r = _as_amplitude(r, "squeezing parameter", real=True).real
-    _check_int("cutoff", cutoff, 1)
+    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     if abs(r) > MAX_SQUEEZING:
         raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
     dim = cutoff + 1
@@ -267,7 +274,7 @@ def squeezed_fock_vector(alpha, r: float, cutoff: int) -> FockVector:
     """Displaced squeezed state D(alpha) S(r) |0> on the truncated basis."""
     alpha = _as_amplitude(alpha)
     r = _as_amplitude(r, "squeezing parameter", real=True).real
-    _check_int("cutoff", cutoff, 1)
+    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     amp = _state_rows(np.array([alpha]), r, cutoff)[0]
     _check_truncation(float(np.vdot(amp, amp).real), cutoff, f"D({alpha:.3f}) S({r})|0>")
     return FockVector(cutoff, amp)
@@ -310,7 +317,7 @@ def mixture_density_matrix(
     """
     _check_type("mixture", mixture, GaussianMixtureState)
     cutoff = default_cutoff(mixture.center, mixture.noise) if cutoff is None else cutoff
-    _check_int("cutoff", cutoff, 1)
+    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     grid = QuadratureGrid() if grid is None else grid
     _check_type("grid", grid, QuadratureGrid)
     rho = _projector_sum(mixture.center, mixture.noise, grid, cutoff)
@@ -388,7 +395,7 @@ def cascade_density_check(
     _check_type("center", center, SqueezedState)
     total = add_noise(noise_first, noise_second)
     cutoff = default_cutoff(center, total) if cutoff is None else cutoff
-    _check_int("cutoff", cutoff, 1)
+    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     grid = QuadratureGrid() if grid is None else grid
     _check_type("grid", grid, QuadratureGrid)
 

@@ -14,10 +14,11 @@ Conventions, fixed here once for the whole package:
   Im(beta) ~ N(0, var_p/2).
 
 Arguments go through one of four checks: ``_check_int`` (counts, cutoffs,
-nodes, samples, seeds, grid sizes), ``_as_amplitude`` (amplitudes, squeezing,
-tolerance), ``_check_variance`` (finite non-negative reals) and ``_check_type``
-(objects: states, noises, specs, grids).  Numeric results go through one guard,
-``_finite``.  Each raises DomainError, not TypeError.
+nodes, samples, seeds, grid sizes; a size that allocates also has an upper
+limit), ``_as_amplitude`` (amplitudes, squeezing, tolerance), ``_check_variance``
+(finite non-negative reals) and ``_check_type`` (objects: states, noises, specs,
+grids).  Numeric results go through one guard, ``_finite``.  Each raises
+DomainError, not TypeError.
 
 Everything in this module is an immutable value or a pure function.
 """
@@ -37,10 +38,11 @@ from .errors import DomainError
 Scalar = Union[int, float, Fraction]
 
 
-def _check_int(name: str, value, minimum: int, error=DomainError) -> None:
-    """An ``int`` (not a bool) of at least ``minimum``, else ``error``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_int(name: str, value, minimum: int, error=DomainError, maximum=math.inf) -> None:
+    """An ``int`` (not a bool) in [minimum, maximum], else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _check_type(name: str, value, kind: type) -> None:

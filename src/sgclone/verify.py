@@ -5,6 +5,8 @@ expected value, the observed value and the tolerance used, so failures are
 diagnosable from the report alone.  ``verify_bounds`` is purely exact
 arithmetic, ``verify_fock`` runs the truncated-Fock oracle against the
 closed forms, and ``verify_mc`` runs the seeded measurement simulations.
+``verify_bounds`` builds each optimal cloner once and ``verify_fock`` each
+oracle state once, each into one table that all of the suite's checks read.
 """
 
 from __future__ import annotations
@@ -114,16 +116,11 @@ def verify_bounds() -> VerificationReport:
 
     pairs = [(n, m) for n in range(1, MAX_COUNT + 1) for m in range(n, MAX_COUNT + 1)]
     pairs += [(n, UNBOUNDED) for n in range(1, MAX_COUNT + 1)]
-    good = sum(
-        estimation_bounds.cloning_lower_bound(n, m) == optimal_noise_variance(n, m).var_x
-        for n, m in pairs
-    )
+    specs = {pair: optimal_cloner(*pair) for pair in pairs}
+    good = sum(estimation_bounds.cloning_lower_bound(*p) == specs[p].noise.var_x for p in pairs)
     add(_count(f"bound-chain identity (N<=M<={MAX_COUNT}, inf)", len(pairs), good))
 
-    good = sum(
-        cloner.fidelity_from_variance(optimal_noise_variance(n, m)) == optimal_fidelity(n, m)
-        for n, m in pairs
-    )
+    good = sum(cloner.fidelity_from_variance(specs[p].noise) == optimal_fidelity(*p) for p in pairs)
     add(_count(f"fidelity-variance consistency (N<=M<={MAX_COUNT}, inf)", len(pairs), good))
 
     triples = [
@@ -133,25 +130,16 @@ def verify_bounds() -> VerificationReport:
         for l in range(m, CASCADE_MAX + 1)
     ]
     good = sum(
-        cloner.cascade(optimal_cloner(n, m), optimal_cloner(m, l)).noise
-        == optimal_noise_variance(n, l)
-        for n, m, l in triples
+        cloner.cascade(specs[n, m], specs[m, l]).noise == specs[n, l].noise for n, m, l in triples
     )
     add(_count(f"optimal-cascade closure (N<=M<=L<={CASCADE_MAX})", len(triples), good))
 
-    good = 0
-    total = 0
-    for n, m in ((1, 2), (1, 3), (2, 3)):
-        for k in range(1, K_MAX):
-            total += 1
-            ok = (
-                optimal_noise_variance((k + 1) * n, (k + 1) * m).var_x
-                < optimal_noise_variance(k * n, k * m).var_x
-                and optimal_fidelity((k + 1) * n, (k + 1) * m)
-                > optimal_fidelity(k * n, k * m)
-            )
-            good += ok
-    add(_count(f"monotonicity in k (k<={K_MAX})", total, good))
+    # Each step scales (N, M) from k to k + 1; every scaled pair lies inside the table.
+    steps = [((k * n, k * m), ((k + 1) * n, (k + 1) * m))
+             for n, m in ((1, 2), (1, 3), (2, 3)) for k in range(1, K_MAX)]
+    good = sum(specs[b].noise.var_x < specs[a].noise.var_x
+               and optimal_fidelity(*b) > optimal_fidelity(*a) for a, b in steps)
+    add(_count(f"monotonicity in k (k<={K_MAX})", len(steps), good))
 
     big = 10**4
     add(
@@ -205,41 +193,39 @@ def verify_fock(
     report = VerificationReport()
     add = report.checks.append
     grid = QuadratureGrid(nodes)
-
-    worst_herm = 0.0
-    worst_trace = 1.0
-    worst_eig = math.inf
+    # The convergence check doubles nodes and cutoff: reject a double beyond
+    # its limit before the first mixture is built.
+    fine_grid = QuadratureGrid(2 * grid.nodes_per_axis)
+    if cutoff is not None:
+        quadrature_core._check_int("cutoff", cutoff, 1, maximum=fock_oracle.CUTOFF_LIMIT // 2)
 
     scenarios = list(ORACLE_SCENARIOS) + [(1, UNBOUNDED)]
+    oracle = {
+        (n, m, center): _oracle_fidelity(
+            cloner.clone_reduced_output(optimal_cloner(n, m), CoherentState(center)), grid, cutoff)
+        for n, m in scenarios
+        for center in ORACLE_CENTERS
+    }
     for n, m in scenarios:
         want = float(optimal_fidelity(n, m))
-        fids = []
-        for center in ORACLE_CENTERS:
-            mix = cloner.clone_reduced_output(optimal_cloner(n, m), CoherentState(center))
-            fid, rho = _oracle_fidelity(mix, grid, cutoff)
-            fids.append(fid)
-            worst_herm = max(worst_herm, rho.hermiticity_defect())
-            worst_trace = min(worst_trace, rho.trace())
-            worst_eig = min(worst_eig, rho.min_eigenvalue())
+        fids = [oracle[n, m, center][0] for center in ORACLE_CENTERS]
         add(_close(f"oracle fidelity ({n},{m})", want, max(fids, key=lambda f: abs(f - want)),
                    tolerance))
         add(_close(f"center invariance ({n},{m})", 0.0, max(fids) - min(fids), tolerance))
 
-    add(_close("physicality: hermiticity defect", 0.0, worst_herm, 1e-12))
+    rhos = [rho for _, rho in oracle.values()]
+    add(_close("physicality: hermiticity defect", 0.0,
+               max(rho.hermiticity_defect() for rho in rhos), fock_oracle._HERMITICITY_TOL))
     add(_at_least("physicality: trace >= 1 - eps_trunc", 1 - fock_oracle.DEFAULT_EPS_TRUNC,
-                  worst_trace))
-    add(_at_least("physicality: min eigenvalue >= -1e-10", -1e-10, worst_eig))
+                  min([1.0] + [rho.trace() for rho in rhos])))
+    add(_at_least("physicality: min eigenvalue >= -1e-10", fock_oracle._EIGENVALUE_FLOOR,
+                  min(rho.min_eigenvalue() for rho in rhos)))
 
-    rho = mixture_density_matrix(
-        GaussianMixtureState(CoherentState(0j), NoiseCovariance(0.5, 0.5)), cutoff, grid
-    )
-    moments = quadrature_moments(rho)
+    # Vacuum under the optimal 1 -> 2 noise 1/2, and 1+1j under the 1 -> inf noise 1.
+    moments = quadrature_moments(oracle[1, 2, 0j][1])
     add(_close("moments: var_x of vacuum + noise 1/2", 1.0, moments.var_x, 1e-6))
     add(_close("moments: var_p of vacuum + noise 1/2", 1.0, moments.var_p, 1e-6))
-    rho = mixture_density_matrix(
-        GaussianMixtureState(CoherentState(1 + 1j), NoiseCovariance(1.0, 1.0)), cutoff, grid
-    )
-    moments = quadrature_moments(rho)
+    moments = quadrature_moments(oracle[1, UNBOUNDED, 1 + 1j][1])
     add(_close("moments: mean_x of center 1+1j", math.sqrt(2.0), moments.mean_x, 1e-6))
     add(_close("moments: mean_p of center 1+1j", math.sqrt(2.0), moments.mean_p, 1e-6))
     add(_close("moments: var_x of center 1+1j + noise 1", 1.5, moments.var_x, 1e-6))
@@ -250,9 +236,8 @@ def verify_fock(
         tol = 0.0 if second.is_zero else 1e-6
         add(_close(f"cascade additivity pair {i}", 0.0, diff, tol))
 
+    f_base, base_rho = oracle[1, 2, 1 + 0j]
     ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
-    f_base, base_rho = _oracle_fidelity(ref_mix, grid, cutoff)
-    fine_grid = QuadratureGrid(2 * grid.nodes_per_axis)
     f_fine, _ = _oracle_fidelity(ref_mix, fine_grid, 2 * base_rho.cutoff)
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 

@@ -28,6 +28,7 @@ from sgclone import (
     simulate_heterodyne_estimate,
     squeezed_variant,
 )
+from sgclone.cloner import _check_counts
 
 
 class TestOptimalNoiseVariance:
@@ -266,6 +267,12 @@ class TestSpecTypes:
     def test_cloner_spec_counts(self):
         with pytest.raises(InvalidClonerError):
             ClonerSpec(3, 2, NoiseCovariance(1, 1))
+
+    def test_count_check_of_the_input_alone(self):
+        _check_counts(3)
+        for args in [(0,), (3, None), (3, 2)]:
+            with pytest.raises(InvalidClonerError):
+                _check_counts(*args)
 
     def test_suboptimal_cloners_are_representable(self):
         noisy = ClonerSpec(1, 2, NoiseCovariance(2, 2))

@@ -109,6 +109,22 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError):
             QuadratureGrid(3).axis_nodes(variance)
 
+    def test_node_count_beyond_the_limit_is_a_domain_error(self):
+        QuadratureGrid(fock_oracle.NODES_LIMIT)  # its nodes are built only when first used
+        with pytest.raises(DomainError, match="nodes_per_axis"):
+            QuadratureGrid(fock_oracle.NODES_LIMIT + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda cutoff: mixture_density_matrix(make_mixture(0, 0.5), cutoff),
+    lambda cutoff: cascade_density_check(CoherentState(0), *[NoiseCovariance(0.5, 0.5)] * 2, cutoff),
+    lambda cutoff: squeeze_fock_matrix(0.5, cutoff),
+    lambda cutoff: squeezed_fock_vector(1j, 0.5, cutoff),
+], ids=["mixture", "cascade", "squeeze", "squeezed-vector"])
+def test_cutoff_beyond_the_limit_is_a_domain_error(build):
+    with pytest.raises(DomainError, match="cutoff"):
+        build(fock_oracle.CUTOFF_LIMIT + 1)
+
 
 class TestMixtureDensityMatrix:
     def test_pure_vacuum_projector(self):

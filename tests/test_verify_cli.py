@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from sgclone import DomainError, verify_bounds, verify_fock, verify_mc
+from sgclone import DomainError, NoiseCovariance, verify_bounds, verify_fock, verify_mc
+from sgclone import cloner, estimation_bounds, fock_oracle, verify
 from sgclone.cli import emit_table, main
+
+EPS = Fraction(1, 10**9)
 
 
 class TestVerifySuites:
@@ -26,6 +31,18 @@ class TestVerifySuites:
         with pytest.raises(DomainError):
             verify_fock(tolerance=tolerance)
 
+    @pytest.mark.parametrize("option, limit", [("nodes", fock_oracle.NODES_LIMIT),
+                                               ("cutoff", fock_oracle.CUTOFF_LIMIT)])
+    def test_fock_suite_rejects_a_size_whose_double_is_too_large_up_front(
+        self, monkeypatch, option, limit
+    ):
+        def no_mixture(*args):
+            raise AssertionError("a mixture was built before the size was checked")
+
+        monkeypatch.setattr(verify, "mixture_density_matrix", no_mixture)
+        with pytest.raises(DomainError, match=option):
+            verify_fock(**{option: limit // 2 + 1})
+
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
         assert not report.overall
@@ -45,6 +62,31 @@ class TestVerifySuites:
         for i, a in enumerate(scaled):
             for b in scaled[i + 1:]:
                 assert a != pytest.approx(b, rel=1e-9)
+
+    def test_one_wrong_cascade_fails_the_closure(self, monkeypatch, capsys):
+        real = cloner.cascade
+
+        def faulty(first, second):
+            out = real(first, second)
+            if (first.n_in, first.m_out, second.m_out) != (2, 3, 5):
+                return out
+            return dataclasses.replace(
+                out, noise=NoiseCovariance(out.noise.var_x + EPS, out.noise.var_p + EPS))
+
+        monkeypatch.setattr(cloner, "cascade", faulty)
+        assert main(["verify-bounds", "--format", "json"]) == 1
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]]
+        assert [(c["name"], c["expected"], c["observed"]) for c in failed] == [
+            ("optimal-cascade closure (N<=M<=L<=32)", 5984, 5983)]
+
+    def test_one_wrong_lower_bound_fails_the_bound_chain(self, monkeypatch):
+        real = estimation_bounds.cloning_lower_bound
+        monkeypatch.setattr(estimation_bounds, "cloning_lower_bound",
+                            lambda n, m: real(n, m) + (EPS if (n, m) == (3, 7) else 0))
+        report = verify_bounds()
+        assert not report.overall
+        assert [(c.name, c.expected, c.observed) for c in report.checks if not c.passed] == [
+            ("bound-chain identity (N<=M<=64, inf)", 2144, 2143)]
 
     def test_report_dict_shape(self, bounds_report):
         payload = bounds_report.as_dict()
@@ -155,6 +197,8 @@ class TestCliExitCodes:
             ["verify-fock", "--nodes", "1"],
             ["verify-mc", "--samples", "1"],
             ["table", "0", "2"],
+            ["verify-mc", "--samples", str(10**15)],
+            ["verify-fock", "--cutoff", "1000000000", "--nodes", "2"],
         ],
     )
     def test_bad_numeric_argument_is_a_usage_error(self, capsys, argv):
