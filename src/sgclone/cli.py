@@ -27,6 +27,8 @@ from .errors import DomainError, SGCloneError
 from .quadrature_core import _check_int
 
 FORMATS = ("text", "csv", "json")
+#: Largest N_MAX and M_MAX of ``table``: one row per pair, so about 525,000 rows.
+TABLE_LIMIT = 1024
 
 
 def _count_token(text: str):
@@ -62,8 +64,8 @@ def _render(fmt: str, payload, header: list[str], rows: list[list], text: str) -
 
 def _table(n_max: int, m_max: int):
     """Variance/fidelity grid over all pairs N <= M, one row per pair, unrendered."""
-    _check_int("n_max", n_max, 1)
-    _check_int("m_max", m_max, n_max)
+    _check_int("n_max", n_max, 1, maximum=TABLE_LIMIT)
+    _check_int("m_max", m_max, n_max, maximum=TABLE_LIMIT)
     header = ["n", "m", "variance", "fidelity"]
     rows = [
         (n, m, float(optimal_noise_variance(n, m).var_x), float(optimal_fidelity(n, m)))

@@ -34,6 +34,8 @@ from .quadrature_core import (
     _check_type,
     _check_variance,
     _finite,
+    _shown,
+    _times_exp,
     add_noise,
 )
 
@@ -161,8 +163,8 @@ def cascade(first: ClonerSpec, second: ClonerSpec) -> ClonerSpec:
     _check_type("second cloner", second, ClonerSpec)
     if isinstance(first.m_out, _Unbounded) or first.m_out != second.n_in:
         raise CompositionError(
-            f"cannot cascade: first cloner yields {first.m_out!r} copies, "
-            f"second consumes {second.n_in!r}"
+            f"cannot cascade: first cloner yields {_shown(first.m_out)} copies, "
+            f"second consumes {_shown(second.n_in)}"
         )
     return ClonerSpec(first.n_in, second.m_out, add_noise(first.noise, second.noise))
 
@@ -175,13 +177,13 @@ def _matched_sigma2(center: SqueezedState, noise: NoiseCovariance) -> Scalar:
     """
     e, sx, sp = 2.0 * center.r, noise.var_x, noise.var_p
     if e != 0 and not noise.is_zero:  # keep exact noise exact at r = 0; zero noise matches any r
-        sx, sp = _finite("matched noise", lambda: (sx * math.exp(-e), sp * math.exp(e)))
+        sx, sp = _finite("matched noise", lambda: (_times_exp(sx, -e), _times_exp(sp, e)))
     if sx == sp:
         return sx
     if math.isclose(sx, sp, rel_tol=_MATCH_RTOL, abs_tol=1e-15):
         return (sx + sp) / 2
     raise ContractViolationError(
-        f"noise ({noise.var_x!r}, {noise.var_p!r}) does not match the center state"
+        f"noise ({_shown(noise.var_x)}, {_shown(noise.var_p)}) does not match the center state"
     )
 
 

@@ -31,6 +31,8 @@ from .quadrature_core import (
 
 #: Largest sample count a simulation draws: its (2, samples) block is 1.6 GB.
 SAMPLES_LIMIT = 10**8
+#: Largest point count of a weight-ratio grid (an 8 MB array).
+RATIO_POINTS_LIMIT = 10**6 + 1
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,10 @@ def symmetric_variance_bound(weights: MeasurementWeights, dx2=0.5, dp2=0.5):
 def weight_ratio_grid(points: int = 61) -> np.ndarray:
     """Log-spaced g_x/g_p ratios spanning [1e-3, 1e3], symmetric about 1.
 
-    ``points`` must be odd so the grid contains the ratio 1.0 exactly.
+    ``points`` must be odd so the grid contains the ratio 1.0 exactly, and
+    at most RATIO_POINTS_LIMIT.
     """
-    _check_int("points", points, 3)
+    _check_int("points", points, 3, maximum=RATIO_POINTS_LIMIT)
     if points % 2 == 0:
         raise DomainError(f"points must be odd, got {points}")
     half = (points - 1) // 2

@@ -18,7 +18,8 @@ nodes, samples, seeds, grid sizes; a size that allocates also has an upper
 limit), ``_as_amplitude`` (amplitudes, squeezing, tolerance), ``_check_variance``
 (finite non-negative reals) and ``_check_type`` (objects: states, noises, specs,
 grids).  Numeric results go through one guard, ``_finite``.  Each raises
-DomainError, not TypeError.
+DomainError, not TypeError, and names a bad value through ``_shown``, which
+gives an int too long for Python to print by its bit length.
 
 Everything in this module is an immutable value or a pure function.
 """
@@ -42,7 +43,18 @@ def _check_int(name: str, value, minimum: int, error=DomainError, maximum=math.i
     """An ``int`` (not a bool) in [minimum, maximum], else ``error``."""
     if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
         bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+        raise error(f"{name} must be an integer {bounds}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``; Python prints no int of more than 4300 digits, so such a
+    value is described by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -58,11 +70,11 @@ def _as_amplitude(value, name: str = "amplitude", real: bool = False) -> complex
         if isinstance(value, (bool, str)):  # complex() takes True and "1"
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+        raise DomainError(f"{name} must be a number, got {_shown(value)}") from None
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
     if real and alpha.imag:
-        raise DomainError(f"{name} must be real, got {value!r}")
+        raise DomainError(f"{name} must be real, got {_shown(value)}")
     return alpha
 
 
@@ -78,6 +90,12 @@ def _finite(name: str, compute):
     return value
 
 
+def _times_exp(value, exponent: float) -> float:
+    """``value * e**exponent`` as one exp, so it overflows only where the product does."""
+    value = float(value)  # an exact value may round to 0.0
+    return math.exp(math.log(value) + exponent) if value else 0.0
+
+
 #: Types accepted without the (slow) ``numbers.Real`` ABC check; bool is
 #: its own type, so it still takes the slow path and is rejected there.
 _EXACT_REALS = (int, float, Fraction)
@@ -86,7 +104,7 @@ _EXACT_REALS = (int, float, Fraction)
 def _check_variance(name: str, value) -> None:
     kind = type(value)
     if kind not in _EXACT_REALS and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     # float() and < on a Fraction are Python-level calls; on its integer parts they are not.
     sign, divisor = (value.numerator, value.denominator) if kind is Fraction else (value, 1)
     try:
@@ -94,7 +112,7 @@ def _check_variance(name: str, value) -> None:
     except OverflowError:  # an exact value beyond the float range
         finite = False
     if not finite or sign < 0:
-        raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
+        raise DomainError(f"{name} must be finite and non-negative, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,7 @@ class SqueezedState:
 
     def quadrature_variances(self) -> tuple[float, float]:
         e = 2.0 * self.r
-        return _finite("squeezed variance", lambda: (0.5 * math.exp(e), 0.5 * math.exp(-e)))
+        return _finite("squeezed variance", lambda: (_times_exp(0.5, e), _times_exp(0.5, -e)))
 
 
 @dataclass(frozen=True)

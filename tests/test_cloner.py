@@ -228,6 +228,13 @@ class TestMixtureFidelity:
         with pytest.raises(ContractViolationError):
             mixture_fidelity(mix)
 
+    def test_matched_noise_near_the_float_range(self):
+        # sigma2 = 1e-3 at r = 355: var_p e^{710} is 1e-3 though e^{710} overflows.
+        var_x = Fraction(1, 1000) * Fraction(math.exp(355.0)) ** 2
+        noise = NoiseCovariance(var_x, Fraction(1, 10**6) / var_x)
+        mix = GaussianMixtureState(SqueezedState(0, 355.0), noise)
+        assert float(mixture_fidelity(mix)) == pytest.approx(1 / 1.001, rel=1e-9)
+
     @pytest.mark.parametrize("r", [400.0, -400.0])
     def test_zero_noise_matches_any_squeezing(self, r):
         mix = GaussianMixtureState(SqueezedState(1j, r), NoiseCovariance(0, 0))

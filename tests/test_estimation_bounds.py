@@ -101,6 +101,11 @@ class TestWeightGrid:
             with pytest.raises(DomainError):
                 weight_ratio_grid(bad)
 
+    def test_point_count_beyond_the_limit_is_a_domain_error(self):
+        assert weight_ratio_grid(estimation_bounds.RATIO_POINTS_LIMIT).size == 10**6 + 1
+        with pytest.raises(DomainError, match="points must be an integer in"):
+            weight_ratio_grid(10**12 + 1)
+
     def test_symmetric_bound_peaks_at_equal_weights(self):
         grid = weight_ratio_grid()
         bounds = np.array([symmetric_variance_bound(MeasurementWeights(g, 1.0)) for g in grid])

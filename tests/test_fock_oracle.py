@@ -429,3 +429,79 @@ class TestConvergence:
         vec2 = coherent_fock_vector(1, 2 * base_cut)
         f_fine = fidelity_against(vec2, mixture_density_matrix(mix, 2 * base_cut, QuadratureGrid(82)))
         assert abs(f_base - f_fine) < 1e-7
+
+
+def _reference_projector_sum(center, noise, grid, cutoff):
+    """Every node of the tensor grid, summed as one complex product of rows.
+
+    Each row is D(alpha) S(r)|0>: the coherent row of the squeezed-frame
+    amplitude from c_n = c_{n-1} alpha/sqrt(n), times S(r)^T.
+    """
+    bx, ux = grid.axis_nodes(noise.var_x)
+    bp, up = grid.axis_nodes(noise.var_p)
+    alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()
+    w = np.outer(ux, up).ravel()[:, None]
+    frame = alphas.real * math.exp(-center.r) + 1j * alphas.imag * math.exp(center.r)
+    rows = np.zeros((alphas.size, cutoff + 1), dtype=complex)
+    rows[:, 0] = np.exp(-0.5 * np.abs(frame) ** 2)
+    for n in range(1, cutoff + 1):
+        rows[:, n] = rows[:, n - 1] * frame / math.sqrt(n)
+    rows = rows @ squeeze_fock_matrix(center.r, cutoff).T
+    return (w * rows).T @ rows.conj()
+
+
+class TestProjectorSum:
+    @pytest.mark.parametrize("center, noise, nodes", [
+        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 41),
+        (CoherentState(2 - 1j), NoiseCovariance(1.359, 0.184), 41),
+        (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise, 41),
+        (SqueezedState(0.5 - 1j, -0.35), squeezed_variant(2, 3, -0.35).noise, 41),
+        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 82),
+    ], ids=["vacuum", "anisotropic", "squeezed r=0.5", "squeezed r=-0.35", "82 nodes"])
+    def test_matches_the_full_complex_sum(self, center, noise, nodes):
+        grid = QuadratureGrid(nodes)
+        cutoff = default_cutoff(center, noise)
+        got = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        want = _reference_projector_sum(center, noise, grid, cutoff)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha, var_x, var_p", [
+        (0, 0, 0), (1 + 1j, 0, 0), (0, 0.5, 0.5), (2 - 1j, 1.359, 0.184), (1j, 0.3, 0), (-1, 0, 0.7),
+    ])
+    def test_coherent_mixture_is_hermitian_to_the_bit(self, alpha, var_x, var_p):
+        rho = mixture_density_matrix(make_mixture(alpha, var_x, var_p))
+        assert rho.hermiticity_defect() == 0.0
+
+    @pytest.mark.parametrize("nodes", [2, 3, 41, 82, 200])
+    def test_dropped_weight_is_negligible(self, nodes):
+        _, w = QuadratureGrid(nodes).axis_nodes(1.0)
+        weights = np.outer(w, w).ravel()
+        keep = fock_oracle._kept_nodes(weights)
+        dropped = np.sort(weights[~keep])
+        assert dropped.sum() <= fock_oracle._DROPPED_MASS == 1e-18
+        # As many as the bound allows: the lightest kept node would break it.
+        assert dropped.sum() + weights[keep].min() > fock_oracle._DROPPED_MASS
+
+    @pytest.mark.parametrize("nodes, kept", [(41, 955), (82, 2034)])
+    def test_kept_node_counts(self, nodes, kept):
+        _, w = QuadratureGrid(nodes).axis_nodes(1.0)
+        assert fock_oracle._kept_nodes(np.outer(w, w).ravel()).sum() == kept
+
+    @pytest.mark.parametrize("r", [0.5, -0.35])
+    def test_squeezing_once_matches_displaced_squeezed_rows(self, r):
+        center, noise, grid = SqueezedState(1 - 0.5j, r), NoiseCovariance(0.4, 0.2), QuadratureGrid(3)
+        # Doubled, so the edge of the truncated S(r) sits where the state is negligible.
+        cutoff = 2 * default_cutoff(center, noise)
+        dim = 2 * (cutoff + 1)
+        squeezed_vacuum = squeeze_fock_matrix(r, dim - 1)[:, 0]
+        bx, ux = grid.axis_nodes(noise.var_x)
+        bp, up = grid.axis_nodes(noise.var_p)
+        want = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        for b, u in zip(bx, ux):
+            for c, v in zip(bp, up):
+                alpha = center.alpha + b + 1j * c
+                row = (_shift_operator(dim, "x", alpha.real) @ _shift_operator(dim, "p", alpha.imag)
+                       @ squeezed_vacuum)[: cutoff + 1]
+                want += u * v * np.outer(row, row.conj())
+        got = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        assert np.max(np.abs(got - want)) <= 1e-13

@@ -10,10 +10,12 @@ from sgclone import (
     DomainError,
     GaussianMixtureState,
     NoiseCovariance,
+    QuadratureGrid,
     SqueezedState,
     add_noise,
     coherent_fock_vector,
     displace,
+    optimal_fidelity,
     overlap_sq,
     squeeze_fock_matrix,
     squeezed_fock_vector,
@@ -166,6 +168,12 @@ class TestStates:
         with pytest.raises(DomainError, match="overflows the float range"):
             state.quadrature_variances()
 
+    def test_variances_reach_the_float_range(self):
+        # 0.5 e^{710} is finite though e^{710} is not.
+        vx, vp = SqueezedState(0, 355.0).quadrature_variances()
+        assert vx == pytest.approx((math.exp(355.0) * math.sqrt(0.5)) ** 2, rel=1e-12)
+        assert vp == pytest.approx(0.5 * math.exp(-355.0) ** 2, rel=1e-12)
+
     def test_mixture_moments_are_additive(self):
         mix = GaussianMixtureState(CoherentState(1 + 1j), NoiseCovariance(0.5, 0.25))
         assert mix.quadrature_variances() == (1.0, 0.75)
@@ -230,3 +238,14 @@ class TestStates:
     def test_non_numeric_scalars_raise_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QuadratureGrid(10**5000),
+    lambda: optimal_fidelity(-10**5000, 2),
+    lambda: CoherentState(10**5000),
+    lambda: NoiseCovariance(10**5000, 0),
+], ids=["grid nodes", "copy count", "amplitude", "variance"])
+def test_int_too_long_to_print_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="an integer of 16610 bits"):
+        call()

@@ -199,6 +199,7 @@ class TestCliExitCodes:
             ["table", "0", "2"],
             ["verify-mc", "--samples", str(10**15)],
             ["verify-fock", "--cutoff", "1000000000", "--nodes", "2"],
+            ["table", "1", "100000000"],
         ],
     )
     def test_bad_numeric_argument_is_a_usage_error(self, capsys, argv):
