@@ -79,10 +79,9 @@ def _table(n_max: int, m_max: int):
 
 def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
     """Variance/fidelity grid over all pairs N <= M, one row per pair."""
-    table = _table(n_max, m_max)
     if fmt not in FORMATS:
         raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return _render(fmt, *table)
+    return _render(fmt, *_table(n_max, m_max))
 
 
 def _value(fields: dict, text: str):

@@ -73,7 +73,8 @@ def _check_counts(n_in, m_out=UNBOUNDED) -> None:
         return
     _check_int("output copy count", m_out, 1, InvalidClonerError)
     if m_out < n_in:
-        raise InvalidClonerError(f"cloning cannot reduce the copy count: {n_in} -> {m_out}")
+        raise InvalidClonerError(
+            f"cloning cannot reduce the copy count: {_shown(n_in)} -> {_shown(m_out)}")
 
 
 @dataclass(frozen=True, order=True)
@@ -85,7 +86,7 @@ class Fidelity:
     def __post_init__(self):
         _check_variance("fidelity", self.value)
         if self.value > 1:
-            raise DomainError(f"fidelity must lie in [0, 1], got {self.value!r}")
+            raise DomainError(f"fidelity must lie in [0, 1], got {_shown(self.value)}")
 
     def __float__(self) -> float:
         return float(self.value)

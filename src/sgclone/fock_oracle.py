@@ -3,9 +3,9 @@
 Everything here rebuilds states and operators numerically, independently of
 the closed-form layer: coherent vectors from the number-basis expansion
 c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), mixtures by Gauss-Hermite
-integration over the displacement distribution, moments from ladder
-matrices, and squeezing and displacement by the exponential of a Hermitian
-generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh of H.
+integration over the displacement distribution, moments read off three
+diagonals of rho, and squeezing and displacement by the exponential of a
+Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh of H.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -87,13 +87,6 @@ def _hermgauss(n: int):
     return t, w
 
 
-@lru_cache(maxsize=32)
-def _ladder(dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    a.setflags(write=False)
-    return a
-
-
 # Hermitian generators: D(b) = exp(-i b H_x) shifts the amplitude by a real
 # b, D(i b) = exp(+i b H_p) by an imaginary i b, and S(r) = exp(-i r H_squeeze).
 _GENERATORS = {
@@ -106,7 +99,7 @@ _GENERATORS = {
 @lru_cache(maxsize=32)
 def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (lam, V) of a named generator: exp(-i t H) = V exp(-i t lam) V^dag."""
-    lam, v = np.linalg.eigh(_GENERATORS[generator](_ladder(dim)))
+    lam, v = np.linalg.eigh(_GENERATORS[generator](np.diag(np.sqrt(np.arange(1.0, dim)), 1)))
     lam.setflags(write=False)
     v.setflags(write=False)
     return lam, v
@@ -305,6 +298,15 @@ def _kept_nodes(weights: np.ndarray) -> np.ndarray:
     return keep
 
 
+@lru_cache(maxsize=32)
+def _kept_mask(nodes: int, size_x: int, size_p: int) -> np.ndarray:
+    """_kept_nodes of a grid's tensor weights, which only the node count and the axis sizes fix."""
+    ux, up = (QuadratureGrid(nodes).axis_nodes(int(size > 1))[1] for size in (size_x, size_p))
+    keep = _kept_nodes(np.outer(ux, up).ravel())
+    keep.setflags(write=False)
+    return keep
+
+
 def _projector_sum(
     center: SqueezedState, noise: NoiseCovariance, grid: QuadratureGrid, cutoff: int
 ) -> np.ndarray:
@@ -320,11 +322,10 @@ def _projector_sum(
     s = squeeze_fock_matrix(center.r, cutoff) if center.r else None
     bx, ux = grid.axis_nodes(noise.var_x)
     bp, up = grid.axis_nodes(noise.var_p)
-    weights = np.outer(ux, up).ravel()
-    keep = _kept_nodes(weights)
+    keep = _kept_mask(grid.nodes_per_axis, ux.size, up.size)
     alphas = _squeezed_frame((center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()[keep],
                              center.r)
-    roots = np.sqrt(weights[keep])
+    roots = np.sqrt(np.outer(ux, up).ravel()[keep])
     d = cutoff + 1
     gram = np.zeros((2 * d, 2 * d))
     for start in range(0, alphas.size, _CHUNK):
@@ -446,20 +447,18 @@ class QuadratureMoments(NamedTuple):
 
 
 def quadrature_moments(rho: DensityMatrix) -> QuadratureMoments:
-    """Means and variances of x and p from ladder matrices.
+    """Means and variances of x and p, read off three diagonals of rho.
 
-    The operators act on a basis two levels larger than the state so the
-    quadratic moments see no truncation edge.
+    With <a> = sum_n sqrt(n) rho[n, n-1], <a^2> = sum_n sqrt(n (n-1)) rho[n, n-2]
+    and <a^dag a + 1/2> = sum_n (n + 1/2) rho[n, n]: <x> + i <p> = sqrt(2) <a>
+    and <x^2>, <p^2> = <a^dag a + 1/2> +- Re <a^2>, with no truncation edge.
     """
     _check_type("rho", rho, DensityMatrix)
-    d = rho.cutoff + 1
-    padded = np.zeros((d + 2, d + 2), dtype=complex)
-    padded[:d, :d] = rho.matrix
-    a = _ladder(d + 2)
-    x = (a + a.T) / math.sqrt(2.0)
-    p = 1j * (a.T - a) / math.sqrt(2.0)
+    m, n = rho.matrix, np.arange(rho.cutoff + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by _finite
-        means = [float(np.trace(padded @ q).real) for q in (x, p)]
-        seconds = [float(np.trace(padded @ q @ q).real) for q in (x, p)]
+        a = complex(np.sqrt(n[1:]) @ np.diagonal(m, -1))
+        a2 = float((np.sqrt(n[2:] * n[1:-1]) @ np.diagonal(m, -2)).real)
+        number = float((n + 0.5) @ np.diagonal(m).real)
+    x, p = math.sqrt(2.0) * a.real, math.sqrt(2.0) * a.imag
     return _finite("a quadrature moment", lambda: QuadratureMoments(
-        *means, *(second - mean**2 for second, mean in zip(seconds, means))))
+        x, p, number + a2 - x**2, number - a2 - p**2))

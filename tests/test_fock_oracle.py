@@ -420,6 +420,35 @@ class TestDensityMatrixType:
         assert rho.matrix[0, 0] == 0.5 and not rho.matrix.flags.writeable
 
 
+def _reference_moments(rho):
+    """Means and variances from ladder matrices on a basis two levels larger than rho."""
+    d = rho.cutoff + 1
+    padded = np.zeros((d + 2, d + 2), dtype=complex)
+    padded[:d, :d] = rho.matrix
+    a = np.diag(np.sqrt(np.arange(1.0, d + 2)), 1)
+    x = (a + a.T) / math.sqrt(2.0)
+    p = 1j * (a.T - a) / math.sqrt(2.0)
+    means = [float(np.trace(padded @ q).real) for q in (x, p)]
+    seconds = [float(np.trace(padded @ q @ q).real) for q in (x, p)]
+    return (*means, *(second - mean**2 for second, mean in zip(seconds, means)))
+
+
+class TestMomentsMatchLadderMatrices:
+    @pytest.mark.parametrize("rho", [
+        DensityMatrix(1, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])),
+        DensityMatrix(2, np.outer([1, 1j, 1 - 1j], [1, -1j, 1 + 1j]) / 4),
+        mixture_density_matrix(make_mixture(0, 0.5)),
+        mixture_density_matrix(make_mixture(2 - 1j, 1.359, 0.184)),
+        mixture_density_matrix(GaussianMixtureState(
+            SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise)),
+        mixture_density_matrix(GaussianMixtureState(
+            SqueezedState(0.5 - 1j, -0.35), squeezed_variant(2, 3, -0.35).noise)),
+    ], ids=["cutoff 1", "cutoff 2", "vacuum", "anisotropic", "squeezed r=0.5", "squeezed r=-0.35"])
+    def test_diagonals_give_the_ladder_moments(self, rho):
+        got = quadrature_moments(rho)
+        assert np.max(np.abs(np.subtract(got, _reference_moments(rho)))) <= 1e-13
+
+
 class TestConvergence:
     def test_doubling_changes_nothing_measurable(self):
         mix = make_mixture(1, 0.5)
@@ -486,6 +515,14 @@ class TestProjectorSum:
     def test_kept_node_counts(self, nodes, kept):
         _, w = QuadratureGrid(nodes).axis_nodes(1.0)
         assert fock_oracle._kept_nodes(np.outer(w, w).ravel()).sum() == kept
+
+    @pytest.mark.parametrize("var_x, var_p", [(0.7, 0.3), (0, 0.3), (0.7, 0), (0, 0)])
+    def test_cached_mask_is_kept_nodes_of_the_weights(self, var_x, var_p):
+        grid = QuadratureGrid(41)
+        (_, ux), (_, up) = grid.axis_nodes(var_x), grid.axis_nodes(var_p)
+        cached = fock_oracle._kept_mask(41, ux.size, up.size)
+        assert np.array_equal(cached, fock_oracle._kept_nodes(np.outer(ux, up).ravel()))
+        assert not cached.flags.writeable
 
     @pytest.mark.parametrize("r", [0.5, -0.35])
     def test_squeezing_once_matches_displaced_squeezed_rows(self, r):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from sgclone import (
     CoherentState,
     DomainError,
+    Fidelity,
     GaussianMixtureState,
     NoiseCovariance,
     QuadratureGrid,
@@ -245,7 +246,13 @@ class TestStates:
     lambda: optimal_fidelity(-10**5000, 2),
     lambda: CoherentState(10**5000),
     lambda: NoiseCovariance(10**5000, 0),
-], ids=["grid nodes", "copy count", "amplitude", "variance"])
+    lambda: optimal_fidelity(10**5000, 10**4999),
+], ids=["grid nodes", "copy count", "amplitude", "variance", "copy counts that reduce"])
 def test_int_too_long_to_print_is_a_domain_error(call):
     with pytest.raises(DomainError, match="an integer of 16610 bits"):
         call()
+
+
+def test_fraction_too_long_to_print_is_a_domain_error():
+    with pytest.raises(DomainError, match="a Fraction too long to print"):
+        Fidelity(Fraction(10**5000 + 1, 10**4999))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sgclone import DomainError, NoiseCovariance, verify_bounds, verify_fock, verify_mc
-from sgclone import cloner, estimation_bounds, fock_oracle, verify
+from sgclone import cli, cloner, estimation_bounds, fock_oracle, verify
 from sgclone.cli import emit_table, main
 
 EPS = Fraction(1, 10**9)
@@ -51,6 +51,15 @@ class TestVerifySuites:
         report = verify_mc(samples=20_000, seed=42)
         failed = [c for c in report.checks if not c.passed]
         assert report.overall, failed
+
+    def test_mc_check_names_show_an_unprintable_seed_by_its_size(self):
+        names = [c.name for c in verify_mc(samples=10, seed=10**5000).checks]
+        assert names[:4] == [
+            "joint measurement var_x (seed an integer of 16610 bits)",
+            "joint measurement var_p (seed an integer of 16610 bits)",
+            "joint measurement variance product (seed an integer of 16610 bits)",
+            "joint measurement var_x (seed 42)",
+        ]
 
     def test_mc_checks_read_independent_draws(self):
         # each var_x, scaled to unit expectation, comes from its own seed
@@ -151,6 +160,14 @@ class TestCliValues:
     def test_table_rejects_bad_arguments(self, args):
         with pytest.raises(DomainError):
             emit_table(*args)
+
+    def test_table_checks_the_format_before_building_the_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the grid was built before the format was checked")
+
+        monkeypatch.setattr(cli, "_table", no_grid)
+        with pytest.raises(DomainError, match="format"):
+            emit_table(1, 2, "xml")
 
     def test_repeat_invocations_are_byte_identical(self, capsys):
         main(["table", "1", "8", "--format", "csv"])
