@@ -33,9 +33,8 @@ from .quadrature_core import (
     _check_int,
     _check_type,
     _check_variance,
-    _finite,
     _shown,
-    _times_exp,
+    _squeezed,
     add_noise,
 )
 
@@ -138,19 +137,13 @@ def optimal_fidelity(n_in: int, m_out: CopyCount) -> Fidelity:
 
 
 def _fidelity_of_variance(sigma2: Scalar) -> Fidelity:
-    if isinstance(sigma2, (int, Fraction)):
-        return Fidelity(Fraction(1) / (1 + Fraction(sigma2)))
-    return Fidelity(1.0 / (1.0 + sigma2))
+    return Fidelity(Fraction(1) / (1 + sigma2))  # exact for an exact sigma2, else a float
 
 
 def fidelity_from_variance(noise: NoiseCovariance) -> Fidelity:
     """Fidelity 1/(1 + sigma^2) of a coherent state under isotropic noise."""
     _check_type("noise", noise, NoiseCovariance)
-    if not noise.is_isotropic:
-        raise ContractViolationError(
-            "anisotropic noise has no coherent-state fidelity; use the squeezed-variant path"
-        )
-    return _fidelity_of_variance(noise.var_x)
+    return _fidelity_of_variance(_matched_sigma2(0.0, noise))
 
 
 def optimal_cloner(n_in: int, m_out: CopyCount) -> ClonerSpec:
@@ -170,15 +163,13 @@ def cascade(first: ClonerSpec, second: ClonerSpec) -> ClonerSpec:
     return ClonerSpec(first.n_in, second.m_out, add_noise(first.noise, second.noise))
 
 
-def _matched_sigma2(center: SqueezedState, noise: NoiseCovariance) -> Scalar:
-    """Noise variance in the frame where the center has isotropic 1/2 variances.
+def _matched_sigma2(r: float, noise: NoiseCovariance) -> Scalar:
+    """Noise variance in the frame where a center squeezed by r has isotropic 1/2 variances.
 
-    Raises ContractViolationError when the noise anisotropy does not match
-    the center's squeezing.
+    The package's one isotropy decision: raises ContractViolationError when the
+    noise anisotropy does not match the squeezing r.
     """
-    e, sx, sp = 2.0 * center.r, noise.var_x, noise.var_p
-    if e != 0 and not noise.is_zero:  # keep exact noise exact at r = 0; zero noise matches any r
-        sx, sp = _finite("matched noise", lambda: (_times_exp(sx, -e), _times_exp(sp, e)))
+    sx, sp = _squeezed(noise.var_x, noise.var_p, -r)
     if sx == sp:
         return sx
     if math.isclose(sx, sp, rel_tol=_MATCH_RTOL, abs_tol=1e-15):
@@ -195,29 +186,27 @@ def clone_reduced_output(cloner: ClonerSpec, state: SqueezedState) -> GaussianMi
     """
     _check_type("cloner", cloner, ClonerSpec)
     _check_type("state", state, SqueezedState)
-    _matched_sigma2(state, cloner.noise)
+    _matched_sigma2(state.r, cloner.noise)
     return GaussianMixtureState(center=state, noise=cloner.noise)
 
 
 def squeezed_variant(n_in: int, m_out: CopyCount, r: float) -> ClonerSpec:
     """Optimal cloner for squeezed states with squeezing parameter r.
 
-    Same map under quadratures rescaled by e^{+-r}: the noise becomes
-    var_x = sigma2 e^{2r}, var_p = sigma2 e^{-2r} with the optimal
-    isotropic sigma2.  Both entries are exact rationals, var_p being the
-    exact quotient sigma2^2 / var_x, so the squeezing-invariant product
-    var_x * var_p == sigma2^2 holds identically rather than merely to
-    rounding.
+    The same map in the squeezed frame: var_x = sigma2 e^{2r} by ``_squeezed``,
+    with the optimal isotropic sigma2.  Both entries are exact rationals, var_p
+    the exact quotient sigma2^2 / var_x, so the squeezing-invariant product
+    var_x * var_p == sigma2^2 holds identically rather than merely to rounding.
     """
     base = optimal_noise_variance(n_in, m_out)
     r = _as_amplitude(r, "squeezing parameter", real=True).real
     if r == 0 or base.var_x == 0:
         return ClonerSpec(n_in, m_out, base)
     try:
-        var_x = Fraction(float(base.var_x) * math.exp(2.0 * r))
+        var_x = Fraction(_squeezed(base.var_x, base.var_p, r)[0])
         var_p = Fraction(base.var_x) ** 2 / var_x
         float(var_p)  # every reader of the noise takes it as a float
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, DomainError):
         raise DomainError(f"squeezing r={r} takes the noise out of the float range") from None
     return ClonerSpec(n_in, m_out, NoiseCovariance(var_x, var_p))
 
@@ -230,4 +219,4 @@ def mixture_fidelity(mixture: GaussianMixtureState) -> Fidelity:
     equally well.
     """
     _check_type("mixture", mixture, GaussianMixtureState)
-    return _fidelity_of_variance(_matched_sigma2(mixture.center, mixture.noise))
+    return _fidelity_of_variance(_matched_sigma2(mixture.center.r, mixture.noise))

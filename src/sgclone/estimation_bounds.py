@@ -26,7 +26,8 @@ import numpy as np
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
 from .quadrature_core import (
-    CoherentState, _as_amplitude, _check_int, _check_type, _check_variance, _finite,
+    CoherentState, _as_amplitude, _check_int, _check_type, _check_uncertainty, _check_variance,
+    _finite,
 )
 
 #: Largest sample count a simulation draws: its (2, samples) block is 1.6 GB.
@@ -90,8 +91,8 @@ def arthurs_kelly_margin(var_x, var_p):
 def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
     """Right-hand side g_x dx2 + g_p dp2 + sqrt(g_x g_p) of the weighted bound.
 
-    ``dx2``/``dp2`` are the intrinsic quadrature variances of the state
-    being measured (1/2 each for a coherent state).
+    ``dx2``/``dp2`` are the intrinsic variances of the state measured, with
+    dx2 * dp2 >= 1/4 (1/2 each for a coherent state).
     """
     _check_type("weights", weights, MeasurementWeights)
     return _weighted_bound(weights.g_x, weights.g_p, dx2, dp2)
@@ -99,10 +100,7 @@ def holevo_rhs(weights: MeasurementWeights, dx2, dp2):
 
 def _weighted_bound(g_x, g_p, dx2, dp2):
     """g_x dx2 + g_p dp2 + sqrt(g_x) sqrt(g_p), whose last product alone never overflows."""
-    _check_variance("dx2", dx2)
-    _check_variance("dp2", dp2)
-    if dx2 == 0 or dp2 == 0:
-        raise DomainError("intrinsic variances must be positive")
+    _check_uncertainty(dx2, dp2)
     root = math.sqrt(g_x) * math.sqrt(g_p)
     return _finite("weighted bound", lambda: g_x * dx2 + g_p * dp2 + root)
 
@@ -166,11 +164,8 @@ def chain_bound_1to2(dx2, dp2, noise_var):
     realizable 1 -> 2 cloner; for a coherent input that forces
     noise >= 1/2.
     """
-    _check_variance("dx2", dx2)
-    _check_variance("dp2", dp2)
+    _check_uncertainty(dx2, dp2)
     _check_variance("cloning noise", noise_var)
-    if dx2 * dp2 < 0.25:
-        raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
     return _finite("chain-bound margin", lambda: (dx2 + noise_var) * (dp2 + noise_var) - 1)
 
 

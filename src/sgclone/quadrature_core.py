@@ -12,6 +12,8 @@ Conventions, fixed here once for the whole package:
   units.  A Gaussian displacement mixture with these variances displaces
   the amplitude by beta with Re(beta) ~ N(0, var_x/2) and
   Im(beta) ~ N(0, var_p/2).
+* Squeezing by r maps variances to (var_x e^{2r}, var_p e^{-2r}) (``_squeezed``);
+  a state's own variances obey dx2 * dp2 >= 1/4 (``_check_uncertainty``).
 
 Arguments go through one of four checks: ``_check_int`` (counts, cutoffs,
 nodes, samples, seeds, grid sizes; a size that allocates also has an upper
@@ -90,12 +92,6 @@ def _finite(name: str, compute):
     return value
 
 
-def _times_exp(value, exponent: float) -> float:
-    """``value * e**exponent`` as one exp, so it overflows only where the product does."""
-    value = float(value)  # an exact value may round to 0.0
-    return math.exp(math.log(value) + exponent) if value else 0.0
-
-
 #: Types accepted without the (slow) ``numbers.Real`` ABC check; bool is
 #: its own type, so it still takes the slow path and is rejected there.
 _EXACT_REALS = (int, float, Fraction)
@@ -113,6 +109,26 @@ def _check_variance(name: str, value) -> None:
         finite = False
     if not finite or sign < 0:
         raise DomainError(f"{name} must be finite and non-negative, got {_shown(value)}")
+
+
+def _squeezed(var_x, var_p, r: float):
+    """The squeezed-frame rule ``(var_x e^{2r}, var_p e^{-2r})``, each entry one exp of
+    log(value) +- 2r, so it overflows only where the result does.  At r = 0 and for
+    zero noise the inputs come back unchanged, so exact values stay exact."""
+    if r == 0 or not (var_x or var_p):
+        return var_x, var_p
+    e, vx, vp = 2.0 * r, float(var_x), float(var_p)  # an exact value may round to 0.0
+    return _finite("squeezed variance", lambda: (
+        math.exp(math.log(vx) + e) if vx else 0.0, math.exp(math.log(vp) - e) if vp else 0.0))
+
+
+def _check_uncertainty(dx2, dp2) -> None:
+    """Intrinsic variances with dx2 * dp2 >= 1/4 up to a relative 1e-12, else DomainError;
+    a squeezed vacuum's product rounds by at most 1.2e-13 (one ulp of 2|r| < 711)."""
+    _check_variance("dx2", dx2)
+    _check_variance("dp2", dp2)
+    if not dx2 * dp2 >= 0.25 - 0.25e-12:
+        raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
 
 
 @dataclass(frozen=True)
@@ -134,8 +150,7 @@ class SqueezedState:
         return math.sqrt(2.0) * self.alpha.real, math.sqrt(2.0) * self.alpha.imag
 
     def quadrature_variances(self) -> tuple[float, float]:
-        e = 2.0 * self.r
-        return _finite("squeezed variance", lambda: (_times_exp(0.5, e), _times_exp(0.5, -e)))
+        return _squeezed(0.5, 0.5, self.r)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class TestValueCommands:
 @pytest.mark.parametrize("n, m, r", [(1, 2, 0.5), (2, INF, -0.3), (1, 3, 1.25)])
 def test_squeezed_variance(capsys, fmt, n, m, r):
     sigma2 = noise(n, m)
-    var_x = Fraction(float(sigma2) * math.exp(2 * r))
+    var_x = Fraction(math.exp(math.log(float(sigma2)) + 2 * r))  # the one-exp squeezed-frame rule
     var_p = sigma2**2 / var_x
     fields = {"n": n, "m": str(m), "r": r, "var_x": float(var_x), "var_p": float(var_p)}
     text = f"var_x {dec(var_x, 6)}, var_p {dec(var_p, 6)}"

@@ -97,6 +97,17 @@ class TestFidelityFromVariance:
                 assert fidelity_from_variance(optimal_noise_variance(n, m)) \
                     == optimal_fidelity(n, m)
 
+    def test_decides_isotropy_as_the_coherent_mixture_does(self):
+        for noise in (NoiseCovariance(Fraction(1, 3), Fraction(1, 3)), NoiseCovariance(0, 0),
+                      NoiseCovariance(2, 2), NoiseCovariance(0.5, 0.5 + 1e-13)):
+            mixture = GaussianMixtureState(CoherentState(0), noise)
+            assert fidelity_from_variance(noise) == mixture_fidelity(mixture)
+        noise = NoiseCovariance(0.5, 0.25)
+        with pytest.raises(ContractViolationError):
+            fidelity_from_variance(noise)
+        with pytest.raises(ContractViolationError):
+            mixture_fidelity(GaussianMixtureState(CoherentState(0), noise))
+
 
 class TestCascade:
     def test_one_two_four(self):
@@ -195,6 +206,14 @@ class TestSqueezedVariant:
     def test_rejects_nonfinite_r(self):
         with pytest.raises(DomainError):
             squeezed_variant(1, 2, math.inf)
+
+    def test_var_x_leaves_the_float_range_only_where_it_does(self):
+        # sigma2 e^{720} is about 4.9e300, though e^{720} alone is not a float.
+        sigma2 = optimal_noise_variance(10**6, 10**6 + 1).var_x
+        noise = squeezed_variant(10**6, 10**6 + 1, 360).noise
+        expected = math.exp(720 - math.log(10**6 * (10**6 + 1)))
+        assert float(noise.var_x) == pytest.approx(expected, rel=1e-12)
+        assert noise.var_x * noise.var_p == sigma2**2
 
     @pytest.mark.parametrize("r", [1000.0, -1000.0, -356.0])
     def test_rejects_r_beyond_the_float_range(self, r):

@@ -9,6 +9,7 @@ from sgclone import (
     CoherentState,
     DomainError,
     MeasurementWeights,
+    SqueezedState,
     VarianceReport,
     arthurs_kelly_margin,
     chain_bound_1to2,
@@ -190,6 +191,24 @@ class TestChainBound:
         # 2 * 10**308 is an exact int that cannot be mixed with a float
         with pytest.raises(DomainError):
             chain_bound_1to2(10**308, 0.5, 10**308)
+
+
+class TestUncertaintyRule:
+    """holevo_rhs and chain_bound_1to2 take intrinsic variances through one check."""
+
+    def test_every_squeezed_state_is_accepted(self):
+        # r = -354.99645 rounds the product furthest from 1/4 (1.1e-13 relative).
+        for r in [k / 100 for k in range(-300, 301)] + [-355.0, -354.99645, 354.9, 355.0]:
+            dx2, dp2 = SqueezedState(0, r).quadrature_variances()
+            assert math.isfinite(holevo_rhs(MeasurementWeights(1, 1), dx2, dp2))
+            assert math.isfinite(chain_bound_1to2(dx2, dp2, 0.5))
+
+    @pytest.mark.parametrize("dx2, dp2", [(0.4, 0.4), (0, 0.5), (0.5, 0), (5e-324, 1.7e308)])
+    def test_below_the_minimum_uncertainty_is_rejected(self, dx2, dp2):
+        with pytest.raises(DomainError, match=r"dx2 \* dp2 >= 1/4"):
+            holevo_rhs(MeasurementWeights(1, 1), dx2, dp2)
+        with pytest.raises(DomainError, match=r"dx2 \* dp2 >= 1/4"):
+            chain_bound_1to2(dx2, dp2, 0.5)
 
 
 class TestJointMeasurementSimulation:

@@ -22,6 +22,7 @@ from sgclone import (
     squeezed_fock_vector,
     squeezed_variant,
 )
+from sgclone.quadrature_core import _squeezed
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 amplitudes = st.builds(complex, finite, finite)
@@ -136,6 +137,25 @@ class TestNoise:
     def test_associative_in_exact_arithmetic(self, a, b, c):
         na, nb, nc = (NoiseCovariance(v, v) for v in (a, b, c))
         assert add_noise(add_noise(na, nb), nc) == add_noise(na, add_noise(nb, nc))
+
+
+class TestSqueezedFrameRule:
+    def test_exact_variances_stay_exact_at_r_zero_and_for_zero_noise(self):
+        for args in [(Fraction(1, 3), Fraction(2, 3), 0.0), (0, Fraction(0), 1000.0)]:
+            scaled = _squeezed(*args)
+            assert scaled == args[:2]
+            assert [type(v) for v in scaled] == [type(v) for v in args[:2]]
+
+    def test_each_entry_is_one_exp(self):
+        # e^{800} is beyond the float range; 1e-300 e^{800} is not.
+        vx, vp = _squeezed(1e-300, Fraction(10**300), 400.0)
+        assert vx == math.exp(math.log(1e-300) + 800.0)
+        assert vp == math.exp(math.log(1e300) - 800.0)
+        assert _squeezed(0, 0.5, -2.0) == (0.0, math.exp(math.log(0.5) + 4.0))
+
+    def test_a_result_beyond_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="squeezed variance overflows the float range"):
+            _squeezed(1.0, 1.0, -400.0)
 
 
 class TestStates:

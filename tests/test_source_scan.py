@@ -7,7 +7,10 @@ centre-state union or a (CoherentState, SqueezedState) tuple.  This scan
 fails on any of them in ``src/sgclone``.  A numeric result beyond the float
 range is rejected only by ``quadrature_core._finite``, so no other module words
 that error.  Every CLI handler returns its output, so ``cli.main`` is the one
-place that writes stdout.
+place that writes stdout.  The e^{+-2r} rescale of a variance is written once,
+in ``quadrature_core._squeezed``, and ``cloner._matched_sigma2`` is the one
+isotropy decision, so ``cloner.py`` holds no ``math.exp`` and no
+``is_isotropic`` test, and the old ``_times_exp`` helper is gone everywhere.
 """
 
 import ast
@@ -58,3 +61,20 @@ def test_cli_writes_stdout_only_in_main():
             and not any(keyword.arg == "file" for keyword in node.keywords))
     ]
     assert writers == ["main"]
+
+
+#: label -> (the one module scanned, or None for every module; pattern)
+SQUEEZE_RULE = {
+    "math.exp in cloner.py": ("cloner.py", r"\bmath\.exp\b"),
+    "is_isotropic in cloner.py": ("cloner.py", r"\bis_isotropic\b"),
+    "_times_exp": (None, r"\b_times_exp\b"),
+}
+
+
+@pytest.mark.parametrize("label", SQUEEZE_RULE)
+def test_one_squeezed_frame_rule(label):
+    name, pattern = SQUEEZE_RULE[label]
+    sources = [PACKAGE / name] if name else sorted(PACKAGE.glob("*.py"))
+    assert sources and all(path.is_file() for path in sources)
+    hits = [path.name for path in sources if re.search(pattern, path.read_text())]
+    assert not hits, f"{label} in {', '.join(hits)}"
