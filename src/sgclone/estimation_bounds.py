@@ -7,12 +7,16 @@ measured-value variance 1/N per quadrature, so the cloning noise must be at
 least the gap 1/N - 1/M between the N-copy and M-copy measurement limits --
 exactly the optimal cloner's noise variance.
 
-The Monte Carlo simulations draw each reported quadrature from the Gaussian
-the closed forms predict, one seeded standard-normal block per report, so
-they confirm the variances they are given: they test the sample statistics,
-the seeding and the five-standard-error gates, while the Fock oracle checks
-the states.  The N-copy estimate is one heterodyne of |sqrt(N) alpha>, into
-which a beam-splitter network concentrates |alpha>^N.
+The Monte Carlo simulations draw their outcomes from the Fock oracle, not
+from the closed forms: a state's density matrix is built in the number
+basis, its homodyne pmfs of x and p are read off it, and each quadrature's
+histogram of ``samples`` outcomes is one seeded multinomial over those
+bins.  A wrong state, a wrong rotation or a wrong rescale therefore moves
+the reported moments, and the five-standard-error gates can fail.  The
+N-copy estimate is one heterodyne of |sqrt(N) alpha>, into which a
+beam-splitter network concentrates |alpha>^N: a balanced beam splitter
+splits that mode into two copies of |sqrt(N/2) alpha>, x is measured on one
+and p on the other, and each outcome is rescaled by sqrt(2/N).
 """
 
 from __future__ import annotations
@@ -20,17 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from . import fock_oracle
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
 from .quadrature_core import (
-    CoherentState, _as_amplitude, _check_int, _check_type, _check_uncertainty, _check_variance,
-    _finite,
+    CoherentState, GaussianMixtureState, NoiseCovariance, _as_amplitude, _check_int, _check_type,
+    _check_uncertainty, _check_variance, _finite,
 )
 
-#: Largest sample count a simulation draws: its (2, samples) block is 1.6 GB.
+#: Largest sample count a simulation draws.  The outcomes are binned counts,
+#: so no array grows with it; past it a count is more likely a typo than a run.
 SAMPLES_LIMIT = 10**8
 #: Largest point count of a weight-ratio grid (an 8 MB array).
 RATIO_POINTS_LIMIT = 10**6 + 1
@@ -56,6 +63,9 @@ class VarianceReport:
 
     ``stderr_x``/``stderr_p`` are the standard errors of the reported
     sample variances, var * sqrt(2/(samples - 1)) for Gaussian outcomes.
+    The formula holds for the simulated ones: every outcome is a quadrature
+    marginal of a Gaussian state, drawn from its lattice-sampled density,
+    whose moments match the continuous Gaussian's to float precision.
     Identical (scenario, seed, samples) produce an identical report.
     """
 
@@ -169,24 +179,38 @@ def chain_bound_1to2(dx2, dp2, noise_var):
     return _finite("chain-bound margin", lambda: (dx2 + noise_var) * (dp2 + noise_var) - 1)
 
 
-def _simulate(means, spreads, samples: int, seed: int) -> VarianceReport:
-    """Report on ``samples`` outcomes of x ~ N(means[0], spreads[0]^2), then of p likewise.
+@lru_cache(maxsize=32)
+def _outcome_pmfs(alpha: complex, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin centres and the x and p pmfs of |alpha> under isotropic ``noise``, read off its rho."""
+    mixture = GaussianMixtureState(CoherentState(alpha), NoiseCovariance(noise, noise))
+    pmfs = fock_oracle._homodyne_pmfs(fock_oracle.mixture_density_matrix(mixture))
+    for array in pmfs:
+        array.setflags(write=False)
+    return pmfs
 
-    The one place outcomes are drawn: one (2, samples) standard-normal block
-    from the seeded generator, centred in place.  A quadrature reports
-    mean + spread * (its row's mean) and spread^2 * (its row's ddof=1
-    variance); no outcome is shifted, so the variance ignores the centre.
+
+def _counts_moments(centres: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and ddof=1 variance of the outcomes that fall ``counts`` times on each centre."""
+    samples = int(counts.sum())
+    mean = float(counts @ centres) / samples
+    return mean, float(counts @ (centres - mean) ** 2) / (samples - 1)
+
+
+def _simulate(alpha: complex, noise, scale: float, samples: int, seed: int) -> VarianceReport:
+    """Report on ``samples`` outcomes of x, then of p, on |alpha> under ``noise``, times ``scale``.
+
+    The one place outcomes are drawn: each quadrature's histogram is one
+    multinomial over the bins of its pmf (_outcome_pmfs), from one seeded
+    generator, and its mean and variance are read off the counts.
     """
     _check_int("samples", samples, 2, maximum=SAMPLES_LIMIT)
     _check_int("seed", seed, 0)
-    z = np.random.default_rng(seed).standard_normal((2, samples))
-    z_mean = z.mean(axis=1)
-    z -= z_mean[:, None]
-    z_var = np.einsum("ij,ij->i", z, z) / (samples - 1)
-    (mean_x, var_x), (mean_p, var_p) = [(m + s * zm, s**2 * zv) for m, s, zm, zv in zip(
-        means, spreads, z_mean.tolist(), z_var.tolist())]
-    scale = math.sqrt(2.0 / (samples - 1))
-    return VarianceReport(var_x, var_p, var_x * scale, var_p * scale, mean_x, mean_p, samples, seed)
+    centres, *pmfs = _outcome_pmfs(alpha, noise)
+    rng = np.random.default_rng(seed)
+    (mean_x, var_x), (mean_p, var_p) = [
+        _counts_moments(scale * centres, rng.multinomial(samples, pmf / pmf.sum())) for pmf in pmfs]
+    se = math.sqrt(2.0 / (samples - 1))
+    return VarianceReport(var_x, var_p, var_x * se, var_p * se, mean_x, mean_p, samples, seed)
 
 
 def simulate_joint_measurement(
@@ -194,25 +218,26 @@ def simulate_joint_measurement(
 ) -> VarianceReport:
     """Simulate x on one clone and p on the other clone of a 1 -> 2 cloner.
 
-    Each marginal is one Gaussian draw per sample around the center's
-    quadrature mean with variance intrinsic + noise, 1/2 + noise_var for a
-    coherent input.  The two marginals are drawn independently: only the
+    Each clone is the center's coherent state under Gaussian noise of
+    variance ``noise_var`` per quadrature, its rho built by the Fock oracle;
+    x is drawn from one clone's homodyne pmf, p from the other's.  Only the
     single-clone marginals are modeled; the measured variances need no more.
     """
     _check_variance("cloning noise", noise_var)
     _check_type("center", center, CoherentState)
-    spreads = [math.sqrt(v + float(noise_var)) for v in center.quadrature_variances()]
-    return _simulate(center.quadrature_means(), spreads, samples, seed)
+    return _simulate(center.alpha, noise_var, 1.0, samples, seed)
 
 
 def simulate_heterodyne_estimate(alpha, n_copies: int, samples: int, seed: int) -> VarianceReport:
     """Estimate (x, p) from N copies of |alpha> by the concentrated measurement.
 
     A beam-splitter network concentrates the N copies into |sqrt(N) alpha>
-    and N - 1 vacua.  One heterodyne of that mode, divided by sqrt(N), is
-    an unbiased estimate with variance 1/N per quadrature, the N-copy
-    optimum: one draw per quadrature per sample, whatever N.
+    and N - 1 vacua, and a balanced beam splitter splits that mode into two
+    copies of |sqrt(N/2) alpha>.  x on one and p on the other, each times
+    sqrt(2/N), is an unbiased estimate with variance 1/N per quadrature, the
+    N-copy optimum: one draw per quadrature per sample, whatever N.
     """
     _check_counts(n_copies)
-    spread = 1.0 / math.sqrt(n_copies)
-    return _simulate(CoherentState(alpha).quadrature_means(), (spread, spread), samples, seed)
+    alpha = CoherentState(alpha).alpha
+    port = _finite("port amplitude sqrt(N/2) alpha", lambda: math.sqrt(n_copies / 2) * alpha)
+    return _simulate(port, 0, math.sqrt(2 / n_copies), samples, seed)

@@ -4,8 +4,10 @@ Everything here rebuilds states and operators numerically, independently of
 the closed-form layer: coherent vectors from the number-basis expansion
 c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), mixtures by Gauss-Hermite
 integration over the displacement distribution, moments read off three
-diagonals of rho, and squeezing and displacement by the exponential of a
-Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh of H.
+diagonals of rho, homodyne pmfs of x and p on a grid of bins (what the
+Monte Carlo simulations draw from), and squeezing and displacement by the
+exponential of a Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag
+from one cached eigh of H.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -77,6 +79,8 @@ _DROPPED_MASS = 1e-18
 #: The cascade channel runs in a basis this many times the cutoff block, so
 #: the truncation edge of its shift operators stays far from that block.
 _PADDING = 2
+#: Bins of a homodyne pmf.
+_HOMODYNE_BINS = 512
 
 
 @lru_cache(maxsize=32)
@@ -462,3 +466,36 @@ def quadrature_moments(rho: DensityMatrix) -> QuadratureMoments:
     x, p = math.sqrt(2.0) * a.real, math.sqrt(2.0) * a.imag
     return _finite("a quadrature moment", lambda: QuadratureMoments(
         x, p, number + a2 - x**2, number - a2 - p**2))
+
+
+def _homodyne_pmfs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin centres t and the probabilities of x and of p in each bin, read off rho.
+
+    The _HOMODYNE_BINS centres span +-(sqrt(2 d + 1) + 6) for a d x d rho, past
+    the turning point of every number state it holds.  With psi_n the Hermite
+    functions and h the bin width, P_x = h diag(Psi^T Re(rho) Psi): the
+    imaginary part of rho is antisymmetric and drops out.  P_p is the same on
+    rho rotated by the phases (-i)^n, as <p|n> = (-i)^n psi_n(p).  Summed on
+    the lattice, a smooth density's mean and variance match the continuous
+    ones to about exp(-2 pi^2 var / h^2), which is 0 in floats here.  A pmf
+    that misses trace(rho) by more than DEFAULT_EPS_TRUNC, as for a number
+    state above CUTOFF_MAX that the bins cannot resolve, raises TruncationError.
+    """
+    d = rho.cutoff + 1
+    t = np.linspace(-1.0, 1.0, _HOMODYNE_BINS) * (math.sqrt(2 * d + 1) + 6)
+    psi = np.empty((d, t.size))
+    psi[0] = math.pi**-0.25 * np.exp(-0.5 * t * t)
+    psi[1] = math.sqrt(2.0) * t * psi[0]
+    for n in range(1, d - 1):
+        psi[n + 1] = math.sqrt(2 / (n + 1)) * t * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    k = np.arange(d)
+    rotated = rho.matrix * np.array([1, -1j, -1, 1j])[(k[:, None] - k) % 4]
+    h = t[1] - t[0]
+    pmfs = [h * np.einsum("nk,nk->k", psi, m.real @ psi) for m in (rho.matrix, rotated)]
+    for quadrature, pmf in zip("xp", pmfs):
+        gap = abs(pmf.sum() - rho.trace())
+        if not gap <= DEFAULT_EPS_TRUNC:
+            raise TruncationError(f"the {quadrature} pmf misses trace(rho) by {gap:.3e} "
+                                  f"(> eps_trunc={DEFAULT_EPS_TRUNC:.1e})")
+    # Rounding leaves entries near -1e-25 where a density vanishes; a pmf has none.
+    return t, *(np.maximum(pmf, 0.0) for pmf in pmfs)

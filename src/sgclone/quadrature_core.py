@@ -111,15 +111,22 @@ def _check_variance(name: str, value) -> None:
         raise DomainError(f"{name} must be finite and non-negative, got {_shown(value)}")
 
 
+def _log(value) -> float:
+    """log of a positive variance; an exact one that rounds to 0.0 as a float is
+    taken as log(numerator) - log(denominator)."""
+    v = float(value)
+    return math.log(v) if v else math.log(value.numerator) - math.log(value.denominator)
+
+
 def _squeezed(var_x, var_p, r: float):
     """The squeezed-frame rule ``(var_x e^{2r}, var_p e^{-2r})``, each entry one exp of
-    log(value) +- 2r, so it overflows only where the result does.  At r = 0 and for
-    zero noise the inputs come back unchanged, so exact values stay exact."""
+    log(value) +- 2r, so it overflows or underflows only where the result does.  At
+    r = 0 and for zero noise the inputs come back unchanged, so exact values stay exact."""
     if r == 0 or not (var_x or var_p):
         return var_x, var_p
-    e, vx, vp = 2.0 * r, float(var_x), float(var_p)  # an exact value may round to 0.0
+    e = 2.0 * r
     return _finite("squeezed variance", lambda: (
-        math.exp(math.log(vx) + e) if vx else 0.0, math.exp(math.log(vp) - e) if vp else 0.0))
+        math.exp(_log(var_x) + e) if var_x else 0.0, math.exp(_log(var_p) - e) if var_p else 0.0))
 
 
 def _check_uncertainty(dx2, dp2) -> None:

@@ -6,7 +6,8 @@ exactly when the payload is a failed report; 2 on a usage error, which
 Nothing else may escape.  ``main`` is the one place that chooses the code, so
 the property calls it in-process, not in a subprocess.  Sizes stay small (tables
 of at most 8 x 8, at most 8 nodes per axis, at most 2000 samples), because
-``hermgauss(n)`` builds an n x n matrix and verify-mc a (2, samples) block.
+``hermgauss(n)`` builds an n x n matrix; verify-mc's samples are binned counts,
+whose cost hardly grows with their number, and stay small only to read plainly.
 """
 
 import contextlib

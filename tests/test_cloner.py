@@ -215,6 +215,14 @@ class TestSqueezedVariant:
         assert float(noise.var_x) == pytest.approx(expected, rel=1e-12)
         assert noise.var_x * noise.var_p == sigma2**2
 
+    def test_var_x_of_a_noise_below_the_float_range(self):
+        # sigma2 is about 1e-400, 0.0 as a float; sigma2 e^{800} is about e^{-121}.
+        sigma2 = optimal_noise_variance(10**200, 10**200 + 1).var_x
+        noise = squeezed_variant(10**200, 10**200 + 1, 400).noise
+        expected = math.exp(800 - math.log(10**200) - math.log(10**200 + 1))
+        assert float(noise.var_x) == pytest.approx(expected, rel=1e-12)
+        assert noise.var_x * noise.var_p == sigma2**2
+
     @pytest.mark.parametrize("r", [1000.0, -1000.0, -356.0])
     def test_rejects_r_beyond_the_float_range(self, r):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ from sgclone import (
     DomainError,
     MeasurementWeights,
     SqueezedState,
+    TruncationError,
     VarianceReport,
     arthurs_kelly_margin,
     chain_bound_1to2,
@@ -22,7 +23,7 @@ from sgclone import (
     symmetric_variance_bound,
     weight_ratio_grid,
 )
-from sgclone import estimation_bounds, verify
+from sgclone import DensityMatrix, estimation_bounds, fock_oracle, verify
 
 SAMPLES = 200_000
 SEED = 42
@@ -238,13 +239,20 @@ class TestJointMeasurementSimulation:
         assert abs(rep.var_x_hat - 1.5) < 5 * rep.stderr_x
         assert abs(rep.mean_x_hat - 2 * math.sqrt(2)) < 5 * math.sqrt(rep.var_x_hat / SAMPLES)
 
-    @pytest.mark.parametrize("center", [2 + 1j, 1e8, 1e16, 1e300])
-    def test_same_draws_give_the_same_variances_at_any_center(self, center):
+    @pytest.mark.parametrize("center", [0, 2 + 1j])
+    def test_variances_agree_at_any_center(self, center):
         # The cloner's noise does not depend on the input, so neither may the report's variance.
         at_origin = simulate_joint_measurement(0.5, CoherentState(0), 10**5, 3)
-        rep = simulate_joint_measurement(0.5, CoherentState(center), 10**5, 3)
-        assert rep.var_x_hat == pytest.approx(at_origin.var_x_hat, rel=1e-15, abs=0)
-        assert rep.var_p_hat == pytest.approx(at_origin.var_p_hat, rel=1e-15, abs=0)
+        rep = simulate_joint_measurement(0.5, CoherentState(center), 10**5, 4)
+        assert abs(rep.var_x_hat - at_origin.var_x_hat) < 5 * math.hypot(rep.stderr_x,
+                                                                         at_origin.stderr_x)
+        assert abs(rep.var_p_hat - at_origin.var_p_hat) < 5 * math.hypot(rep.stderr_p,
+                                                                         at_origin.stderr_p)
+
+    @pytest.mark.parametrize("center", [1e8, 1e16, 1e300])
+    def test_center_beyond_every_cutoff_is_a_truncation_error(self, center):
+        with pytest.raises(TruncationError):
+            simulate_joint_measurement(0.5, CoherentState(center), 10**5, 3)
 
     def test_stderr_formula(self):
         rep = simulate_joint_measurement(0.5, CoherentState(0), 10_000, SEED)
@@ -296,6 +304,19 @@ class TestHeterodyneSimulation:
         with pytest.raises(DomainError):
             simulate_heterodyne_estimate(0, 0, 100, SEED)
 
+    def test_copy_count_beyond_the_float_range_is_a_domain_error(self):
+        # sqrt(N/2) alpha, the amplitude of each beam-splitter port, has no float value
+        with pytest.raises(DomainError, match="port amplitude"):
+            simulate_heterodyne_estimate(0, 10**400, 2, 0)
+
+    def test_outcomes_come_from_the_split_concentrated_mode(self):
+        # x and p of |sqrt(N/2) alpha> times sqrt(2/N): the same counts at any (alpha, N) pair
+        # with one port amplitude
+        a = simulate_heterodyne_estimate(2 + 2j, 1, 5000, 9)
+        b = simulate_heterodyne_estimate(1 + 1j, 4, 5000, 9)
+        assert b.var_x_hat * 4 == pytest.approx(a.var_x_hat, rel=1e-12)
+        assert b.mean_p_hat * 2 == pytest.approx(a.mean_p_hat, rel=1e-12)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError):
             simulate_heterodyne_estimate(0, 1, 100, -1)
@@ -314,15 +335,23 @@ class TestHeterodyneSimulation:
 
 
 class TestSampleMoments:
-    def test_match_numpy_moments(self):
-        # the outcomes _simulate draws: x, then p, from one seeded generator
+    def test_counts_reduction_matches_numpy_moments(self):
+        # the counts _simulate draws: one multinomial over the bins of a pmf
+        centres = np.linspace(-4.0, 7.0, 512)
+        pmf = np.exp(-0.5 * ((centres - 1.5) / 1.3) ** 2)
+        counts = np.random.default_rng(SEED).multinomial(10_001, pmf / pmf.sum())
+        outcomes = np.repeat(centres, counts)
+        mean, var = estimation_bounds._counts_moments(centres, counts)
+        assert mean == pytest.approx(outcomes.mean(), rel=1e-12)
+        assert var == pytest.approx(outcomes.var(ddof=1), rel=1e-12)
+
+    def test_every_outcome_comes_from_a_multinomial_over_the_oracle_pmf(self):
+        centres, p_x, p_p = estimation_bounds._outcome_pmfs(1 + 1j, 0.5)
         rng = np.random.default_rng(SEED)
-        x = 2.0 * rng.standard_normal(10_001) + 3.0
-        p = 0.5 * rng.standard_normal(10_001) - 1.0
-        rep = estimation_bounds._simulate((3.0, -1.0), (2.0, 0.5), x.size, SEED)
-        for hat, ref in [(rep.var_x_hat, x.var(ddof=1)), (rep.var_p_hat, p.var(ddof=1)),
-                         (rep.mean_x_hat, x.mean()), (rep.mean_p_hat, p.mean())]:
-            assert hat == pytest.approx(ref, rel=1e-12)
+        want = [estimation_bounds._counts_moments(centres, rng.multinomial(1000, p / p.sum()))
+                for p in (p_x, p_p)]
+        rep = simulate_joint_measurement(0.5, CoherentState(1 + 1j), 1000, SEED)
+        assert [(rep.mean_x_hat, rep.var_x_hat), (rep.mean_p_hat, rep.var_p_hat)] == want
 
 
 class TestVarianceReport:
@@ -366,26 +395,45 @@ class TestVarianceReport:
             VarianceReport(1.0, 1.0, **fields, mean_x_hat=-1.5, mean_p_hat=2, samples=10, seed=0)
 
 
+@pytest.fixture
+def uncached_pmfs():
+    """_outcome_pmfs keeps what the oracle built; a patched oracle needs it empty on both sides."""
+    estimation_bounds._outcome_pmfs.cache_clear()
+    yield
+    estimation_bounds._outcome_pmfs.cache_clear()
+
+
 class TestInjectedFaults:
     """A wrong simulation must fail the verify_mc check that covers it."""
 
-    SAMPLES = 10**5
+    SAMPLES = 10**6
 
     def checks(self):
         return {c.name: c.passed for c in verify.verify_mc(samples=self.SAMPLES).checks}
 
-    def test_estimate_divided_by_n_fails(self, monkeypatch):
-        def by_n(alpha, n_copies, samples, seed):
-            # the concentrated heterodyne outcome divided by N, not sqrt(N)
-            means = [math.sqrt(n_copies) * m / n_copies
-                     for m in CoherentState(alpha).quadrature_means()]
-            spreads = (1.0 / n_copies, 1.0 / n_copies)
-            return estimation_bounds._simulate(means, spreads, samples, seed)
+    @staticmethod
+    def heterodyne(scale):
+        """The heterodyne estimate with each port outcome times scale(N), not sqrt(2/N)."""
+        def estimate(alpha, n_copies, samples, seed):
+            port = math.sqrt(n_copies / 2) * alpha
+            return estimation_bounds._simulate(port, 0, scale(n_copies), samples, seed)
 
+        return estimate
+
+    def test_estimate_divided_by_n_fails(self, monkeypatch):
+        # the concentrated heterodyne outcome, sqrt(2) times a port's, divided by N, not sqrt(N)
+        by_n = self.heterodyne(lambda n: math.sqrt(2) / n)
         monkeypatch.setattr(verify, "simulate_heterodyne_estimate", by_n)
         passed = self.checks()
         assert passed["heterodyne estimate var_x (N=1)"]
         assert not passed["heterodyne estimate var_x (N=2)"]
+
+    def test_estimate_without_the_rescale_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "simulate_heterodyne_estimate", self.heterodyne(lambda n: 1.0))
+        passed = self.checks()
+        for n in (1, 4, 8):
+            assert not passed[f"heterodyne estimate var_x (N={n})"]
+            assert not passed[f"heterodyne estimate var_p (N={n})"]
 
     def test_joint_measurement_without_noise_fails(self, monkeypatch):
         def noiseless(noise_var, center, samples, seed):
@@ -395,3 +443,30 @@ class TestInjectedFaults:
         passed = self.checks()
         assert passed["noiseless clone var_x"]
         assert not passed[f"joint measurement var_x (seed {SEED})"]
+
+    def test_clone_with_ten_percent_more_noise_fails(self, monkeypatch):
+        real = estimation_bounds._outcome_pmfs
+        monkeypatch.setattr(estimation_bounds, "_outcome_pmfs",
+                            lambda alpha, noise: real(alpha, 1.1 * noise))
+        passed = self.checks()
+        assert passed["noiseless clone var_x"]
+        for seed in (SEED, 7, 1001):
+            assert not passed[f"joint measurement var_x (seed {seed})"]
+            assert not passed[f"joint measurement var_p (seed {seed})"]
+        assert not passed["displaced center var_x at noise 1"]
+
+    def test_p_rotation_of_the_wrong_sign_fails(self, monkeypatch, uncached_pmfs):
+        # (+i)^n in place of (-i)^n: p is read off the complex conjugate of rho
+        real = fock_oracle._homodyne_pmfs
+
+        def turned_back(rho):
+            t, p_x, _ = real(rho)
+            return t, p_x, real(DensityMatrix(rho.cutoff, rho.matrix.conj()))[2]
+
+        monkeypatch.setattr(fock_oracle, "_homodyne_pmfs", turned_back)
+        rep = simulate_heterodyne_estimate(1 + 1j, 1, self.SAMPLES, SEED)
+        assert rep.mean_p_hat == pytest.approx(-math.sqrt(2), abs=0.01)
+        passed = self.checks()
+        for n in (1, 2, 4, 8):
+            assert passed[f"heterodyne estimate var_p (N={n})"]
+            assert not passed[f"heterodyne estimate unbiased (N={n})"]

@@ -200,6 +200,40 @@ class TestQuadratureMoments:
         assert moments.var_p == pytest.approx(0.75, abs=1e-6)
 
 
+class TestHomodynePmfs:
+    @pytest.mark.parametrize("alpha, noise", [(0, 0.5), (0, 0.0), (2 + 1j, 1.0)])
+    def test_moments_match_the_diagonals_of_rho(self, alpha, noise):
+        # the three clone states verify_mc draws from
+        rho = mixture_density_matrix(make_mixture(alpha, noise))
+        t, p_x, p_p = fock_oracle._homodyne_pmfs(rho)
+        means = [p @ t / p.sum() for p in (p_x, p_p)]
+        variances = [p @ (t - m) ** 2 / p.sum() for p, m in zip((p_x, p_p), means)]
+        assert (*means, *variances) == pytest.approx(quadrature_moments(rho), rel=0, abs=1e-12)
+
+    def test_bins_span_the_support_of_the_cutoff(self):
+        t, p_x, p_p = fock_oracle._homodyne_pmfs(mixture_density_matrix(make_mixture(0, 0), 100))
+        assert t.size == 512
+        assert t[-1] == -t[0] == pytest.approx(math.sqrt(203) + 6)
+        assert p_x.min() >= 0 and p_p.min() >= 0
+
+    def test_p_is_x_of_the_state_turned_by_a_quarter(self):
+        # |i a> has in p the distribution |a> has in x
+        _, p_x, _ = fock_oracle._homodyne_pmfs(mixture_density_matrix(make_mixture(1.5, 0.3), 64))
+        _, _, p_p = fock_oracle._homodyne_pmfs(mixture_density_matrix(make_mixture(1.5j, 0.3), 64))
+        assert p_p == pytest.approx(p_x, rel=0, abs=1e-14)
+
+    def test_bins_too_coarse_for_the_cutoff_are_a_truncation_error(self):
+        # 512 bins resolve every number state up to CUTOFF_MAX = 256, not |400>
+        def number_state(n):
+            matrix = np.zeros((n + 1, n + 1))
+            matrix[n, n] = 1.0
+            return DensityMatrix(n, matrix)
+
+        assert fock_oracle._homodyne_pmfs(number_state(256))[1].sum() == pytest.approx(1, abs=1e-12)
+        with pytest.raises(TruncationError, match="pmf misses trace"):
+            fock_oracle._homodyne_pmfs(number_state(400))
+
+
 class TestCascadeDensityCheck:
     def test_half_plus_quarter(self):
         diff = cascade_density_check(
