@@ -4,9 +4,9 @@ Closed-form optima in exact rational arithmetic, measurement-theoretic
 bounds with seeded Monte Carlo checks, and an independent truncated-Fock
 numerical oracle.
 
-The closed-form names import only the standard library.  The numeric
-names (and their submodules) import numpy on first access, so closed-form
-callers never load it.
+The closed-form names, the bounds of ``estimation_bounds`` and ``verify_bounds``
+use only the standard library.  The Fock oracle, the simulations and the other
+two suites import numpy on first use, so closed-form callers never load it.
 """
 
 from importlib import import_module as _import_module
@@ -45,7 +45,7 @@ from .quadrature_core import (
 
 __version__ = "0.1.0"
 
-#: Numeric public name -> the submodule that defines it, imported on first use.
+#: Public name -> the submodule that defines it, imported on first use.
 _LAZY = {
     **dict.fromkeys(
         (

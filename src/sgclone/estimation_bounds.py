@@ -25,10 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fock_oracle
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
 from .quadrature_core import (
@@ -36,10 +34,13 @@ from .quadrature_core import (
     _check_uncertainty, _check_variance, _finite,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Largest sample count a simulation draws.  The outcomes are binned counts,
 #: so no array grows with it; past it a count is more likely a typo than a run.
 SAMPLES_LIMIT = 10**8
-#: Largest point count of a weight-ratio grid (an 8 MB array).
+#: Largest point count of a weight-ratio grid (an 8 MB array, from a 32 MB list).
 RATIO_POINTS_LIMIT = 10**6 + 1
 
 
@@ -134,14 +135,21 @@ def weight_ratio_grid(points: int = 61) -> np.ndarray:
     """Log-spaced g_x/g_p ratios spanning [1e-3, 1e3], symmetric about 1.
 
     ``points`` must be odd so the grid contains the ratio 1.0 exactly, and
-    at most RATIO_POINTS_LIMIT.
+    at most RATIO_POINTS_LIMIT.  The entries are the floats of _weight_ratios.
     """
+    import numpy as np
+
+    return np.array(_weight_ratios(points))
+
+
+def _weight_ratios(points: int = 61) -> list[float]:
+    """weight_ratio_grid as a list of floats, built without numpy."""
     _check_int("points", points, 3, maximum=RATIO_POINTS_LIMIT)
     if points % 2 == 0:
         raise DomainError(f"points must be odd, got {points}")
     half = (points - 1) // 2
-    exponents = (np.arange(points) - half) * (3.0 / half)
-    return 10.0 ** exponents
+    step = 3.0 / half
+    return [10.0 ** (k * step) for k in range(-half, half + 1)]
 
 
 def optimal_measurement_variance(n_copies: int) -> Fraction:
@@ -182,6 +190,8 @@ def chain_bound_1to2(dx2, dp2, noise_var):
 @lru_cache(maxsize=32)
 def _outcome_pmfs(alpha: complex, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bin centres and the x and p pmfs of |alpha> under isotropic ``noise``, read off its rho."""
+    from . import fock_oracle
+
     mixture = GaussianMixtureState(CoherentState(alpha), NoiseCovariance(noise, noise))
     pmfs = fock_oracle._homodyne_pmfs(fock_oracle.mixture_density_matrix(mixture))
     for array in pmfs:
@@ -205,6 +215,8 @@ def _simulate(alpha: complex, noise, scale: float, samples: int, seed: int) -> V
     """
     _check_int("samples", samples, 2, maximum=SAMPLES_LIMIT)
     _check_int("seed", seed, 0)
+    import numpy as np
+
     centres, *pmfs = _outcome_pmfs(alpha, noise)
     rng = np.random.default_rng(seed)
     (mean_x, var_x), (mean_p, var_p) = [

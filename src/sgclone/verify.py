@@ -2,9 +2,10 @@
 
 Each suite returns a :class:`VerificationReport` whose checks carry the
 expected value, the observed value and the tolerance used, so failures are
-diagnosable from the report alone.  ``verify_bounds`` is purely exact
-arithmetic, ``verify_fock`` runs the truncated-Fock oracle against the
-closed forms, and ``verify_mc`` runs the seeded measurement simulations.
+diagnosable from the report alone.  ``verify_bounds`` is exact arithmetic on
+the standard library, ``verify_fock`` runs the truncated-Fock oracle against
+the closed forms, and ``verify_mc`` the seeded measurement simulations; those
+two check the arguments the standard library can decide before loading numpy.
 ``verify_bounds`` builds each optimal cloner once and ``verify_fock`` each
 oracle state once, each into one table that all of the suite's checks read.
 """
@@ -13,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cloner, estimation_bounds, fock_oracle, quadrature_core
+from . import cloner, estimation_bounds, quadrature_core
 from .cloner import UNBOUNDED, optimal_cloner, optimal_fidelity, optimal_noise_variance
 from .estimation_bounds import (
     MeasurementWeights,
@@ -26,15 +26,10 @@ from .estimation_bounds import (
     symmetric_variance_bound,
     weight_ratio_grid,
 )
-from .fock_oracle import (
-    QuadratureGrid,
-    cascade_density_check,
-    fidelity_against,
-    mixture_density_matrix,
-    quadrature_moments,
-    squeezed_fock_vector,
-)
 from .quadrature_core import CoherentState, GaussianMixtureState, NoiseCovariance, SqueezedState
+
+if TYPE_CHECKING:
+    from .fock_oracle import QuadratureGrid
 
 #: verify_bounds checks every N <= M <= MAX_COUNT, cascades up to CASCADE_MAX
 #: copies and monotonicity for k < K_MAX.
@@ -159,27 +154,29 @@ def verify_bounds() -> VerificationReport:
     add(_close("1->2 chain margin at noise 1/4", -0.4375,
                estimation_bounds.chain_bound_1to2(0.5, 0.5, 0.25), 0.0))
 
-    ratios = weight_ratio_grid()
-    bounds = np.array([symmetric_variance_bound(MeasurementWeights(g, 1.0)) for g in ratios])
-    peak = int(np.argmax(bounds))
+    ratios = estimation_bounds._weight_ratios()
+    bounds = [symmetric_variance_bound(MeasurementWeights(g, 1.0)) for g in ratios]
+    peak = bounds.index(max(bounds))
     add(_close("weight sweep: symmetric bound peaks at 1", 1.0, bounds[peak], 1e-12))
     add(_close("weight sweep: peak sits at g_x = g_p", 1.0, ratios[peak], 0.0))
-    off_center = np.delete(bounds, peak)
-    add(_count("weight sweep: bound < 1 off the symmetric point",
-               off_center.size, int(np.sum(off_center < 1.0))))
+    add(_count("weight sweep: bound < 1 off the symmetric point", len(bounds) - 1,
+               sum(b < 1.0 for k, b in enumerate(bounds) if k != peak)))
     return report
 
 
 def _oracle_fidelity(mixture: GaussianMixtureState, grid: QuadratureGrid, cutoff: int | None):
     """The mixture's rho and its fidelity against the mixture's own center."""
+    from .fock_oracle import fidelity_against, mixture_density_matrix, squeezed_fock_vector
+
     rho = mixture_density_matrix(mixture, cutoff, grid)
     center = mixture.center
     return fidelity_against(squeezed_fock_vector(center.alpha, center.r, rho.cutoff), rho), rho
 
 
+# nodes is fock_oracle.DEFAULT_NODES, written out to load no numpy; a test pins the two equal.
 def verify_fock(
     tolerance: float = 1e-5,
-    nodes: int = fock_oracle.DEFAULT_NODES,
+    nodes: int = 41,
     cutoff: int | None = None,
 ) -> VerificationReport:
     """Truncated-Fock oracle against the closed-form layer.
@@ -190,12 +187,14 @@ def verify_fock(
     no check could fail, is rejected.
     """
     tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
+    from . import fock_oracle
+
     report = VerificationReport()
     add = report.checks.append
-    grid = QuadratureGrid(nodes)
+    grid = fock_oracle.QuadratureGrid(nodes)
     # The convergence check doubles nodes and cutoff: reject a double beyond
     # its limit before the first mixture is built.
-    fine_grid = QuadratureGrid(2 * grid.nodes_per_axis)
+    fine_grid = fock_oracle.QuadratureGrid(2 * grid.nodes_per_axis)
     if cutoff is not None:
         quadrature_core._check_int("cutoff", cutoff, 1, maximum=fock_oracle.CUTOFF_LIMIT // 2)
 
@@ -222,17 +221,17 @@ def verify_fock(
                   min(rho.min_eigenvalue() for rho in rhos)))
 
     # Vacuum under the optimal 1 -> 2 noise 1/2, and 1+1j under the 1 -> inf noise 1.
-    moments = quadrature_moments(oracle[1, 2, 0j][1])
+    moments = fock_oracle.quadrature_moments(oracle[1, 2, 0j][1])
     add(_close("moments: var_x of vacuum + noise 1/2", 1.0, moments.var_x, 1e-6))
     add(_close("moments: var_p of vacuum + noise 1/2", 1.0, moments.var_p, 1e-6))
-    moments = quadrature_moments(oracle[1, UNBOUNDED, 1 + 1j][1])
+    moments = fock_oracle.quadrature_moments(oracle[1, UNBOUNDED, 1 + 1j][1])
     add(_close("moments: mean_x of center 1+1j", math.sqrt(2.0), moments.mean_x, 1e-6))
     add(_close("moments: mean_p of center 1+1j", math.sqrt(2.0), moments.mean_p, 1e-6))
     add(_close("moments: var_x of center 1+1j + noise 1", 1.5, moments.var_x, 1e-6))
 
     vacuum = CoherentState(0j)
     for i, (first, second) in enumerate(ADDITIVITY_PAIRS, start=1):
-        diff = cascade_density_check(vacuum, first, second, cutoff, grid)
+        diff = fock_oracle.cascade_density_check(vacuum, first, second, cutoff, grid)
         tol = 0.0 if second.is_zero else 1e-6
         add(_close(f"cascade additivity pair {i}", 0.0, diff, tol))
 
@@ -256,6 +255,10 @@ def verify_mc(samples: int = 10**6, seed: int = 42) -> VerificationReport:
     Every outcome is drawn from a homodyne pmf of a state the Fock oracle
     builds.  Statistical comparisons use a five-standard-error allowance.
     """
+    quadrature_core._check_int("samples", samples, 2, maximum=estimation_bounds.SAMPLES_LIMIT)
+    quadrature_core._check_int("seed", seed, 0)
+    import numpy as np
+
     report = VerificationReport()
     add = report.checks.append
     vacuum = CoherentState(0j)

@@ -108,6 +108,14 @@ class TestWeightGrid:
         with pytest.raises(DomainError, match="points must be an integer in"):
             weight_ratio_grid(10**12 + 1)
 
+    @pytest.mark.parametrize("points", [3, 5, 61, 10001])
+    def test_grid_holds_the_standard_library_ratios(self, points):
+        ratios = estimation_bounds._weight_ratios(points)
+        assert weight_ratio_grid(points).tolist() == ratios
+        assert ratios[points // 2] == 1.0
+        # r[k] and r[p-1-k] are 10^e and 10^-e, each rounded once
+        assert all(abs(a * b - 1.0) <= 2 * math.ulp(1.0) for a, b in zip(ratios, ratios[::-1]))
+
     def test_symmetric_bound_peaks_at_equal_weights(self):
         grid = weight_ratio_grid()
         bounds = np.array([symmetric_variance_bound(MeasurementWeights(g, 1.0)) for g in grid])

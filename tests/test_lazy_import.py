@@ -1,4 +1,8 @@
-"""The closed-form surface loads no numerics; numeric names load on first use."""
+"""The closed-form surface loads no numerics; numeric names load on first use.
+
+``verify-bounds``, the bounds of ``estimation_bounds`` and every ``verify-*``
+argument error the standard library can decide run without numpy.
+"""
 
 import importlib
 import os
@@ -48,14 +52,34 @@ print("exit", code, "numpy" in sys.modules)
         (["cascade", "1", "2", "4"], 0),
         (["table", "3", "6", "--format", "csv"], 0),
         (["fidelity", "3", "2"], 2),
+        (["verify-bounds"], 0),
+        (["verify-mc", "--seed", "-1", "--samples", "10"], 2),
+        (["verify-mc", "--samples", "1"], 2),
+        (["verify-fock", "--tolerance", "nan"], 2),
     ],
 )
 def test_closed_form_commands_do_not_import_numpy(argv, code):
+    assert _probe(_PROBE, *argv)[-1] == f"exit {code} False"
+
+
+_BOUNDS = ("[sgclone.cloning_lower_bound(2, 5),"
+           " sgclone.symmetric_variance_bound(sgclone.MeasurementWeights(2.0, 1.0)),"
+           " sgclone.holevo_rhs(sgclone.MeasurementWeights(1.0, 3.0), 0.5, 0.5),"
+           " sgclone.arthurs_kelly_margin(1.5, 1.0)]")
+
+
+def test_closed_form_bounds_do_not_import_numpy():
+    lines = _probe(f"import sys, sgclone\nprint(repr({_BOUNDS}), 'numpy' in sys.modules)")
+    assert lines[-1] == f"{eval(_BOUNDS)!r} False"
+
+
+def _probe(code: str, *argv: str) -> list[str]:
+    """The stdout lines of ``code`` run with ``argv`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"exit {code} False"
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("name, module", sorted(sgclone._LAZY.items()))

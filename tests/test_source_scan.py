@@ -11,6 +11,9 @@ place that writes stdout.  The e^{+-2r} rescale of a variance is written once,
 in ``quadrature_core._squeezed``, and ``cloner._matched_sigma2`` is the one
 isotropy decision, so ``cloner.py`` holds no ``math.exp`` and no
 ``is_isotropic`` test, and the old ``_times_exp`` helper is gone everywhere.
+Only ``fock_oracle`` imports numpy when it is imported; ``estimation_bounds``
+and ``verify`` import numpy and ``fock_oracle`` inside the functions that
+draw numbers or build arrays, so their bounds and argument checks load none.
 """
 
 import ast
@@ -78,3 +81,31 @@ def test_one_squeezed_frame_rule(label):
     assert sources and all(path.is_file() for path in sources)
     hits = [path.name for path in sources if re.search(pattern, path.read_text())]
     assert not hits, f"{label} in {', '.join(hits)}"
+
+
+def _imported_on_import(path: Path) -> set[str]:
+    """First components of the modules that ``path``'s own import statements load.
+
+    A function body runs only when called, and a ``TYPE_CHECKING`` block never.
+    """
+    names, todo = set(), list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+            names |= {module.split(".")[0] for module in modules}
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def test_only_fock_oracle_imports_numpy_on_import():
+    imported = {path.name: _imported_on_import(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, modules in imported.items() if "numpy" in modules] == ["fock_oracle.py"]
+    assert "fock_oracle" not in imported["estimation_bounds.py"] | imported["verify.py"]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -39,9 +40,13 @@ class TestVerifySuites:
         def no_mixture(*args):
             raise AssertionError("a mixture was built before the size was checked")
 
-        monkeypatch.setattr(verify, "mixture_density_matrix", no_mixture)
+        monkeypatch.setattr(fock_oracle, "mixture_density_matrix", no_mixture)
         with pytest.raises(DomainError, match=option):
             verify_fock(**{option: limit // 2 + 1})
+
+    def test_fock_suite_defaults_to_the_oracle_grid(self):
+        nodes = inspect.signature(verify_fock).parameters["nodes"].default
+        assert nodes == fock_oracle.DEFAULT_NODES
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
