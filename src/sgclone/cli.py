@@ -9,9 +9,6 @@ output count.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 
@@ -53,9 +50,12 @@ def _with_exact(value) -> str:
 
 def _render(fmt: str, payload, header: list[str], rows: list[list], text: str) -> str:
     """json of ``payload``, csv of ``header`` and ``rows`` with LF endings, or ``text``."""
-    if fmt == "json":
+    if fmt == "json":  # each format imports its own modules, so a text command loads neither
+        import json
         return json.dumps(payload, indent=2)
     if fmt == "csv":
+        import csv
+        import io
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
         return buffer.getvalue()

@@ -14,8 +14,8 @@ noise variances add; composing optimal cloners therefore telescopes,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 from .errors import (
@@ -29,6 +29,7 @@ from .quadrature_core import (
     NoiseCovariance,
     Scalar,
     SqueezedState,
+    _Value,
     _as_amplitude,
     _check_int,
     _check_type,
@@ -76,23 +77,26 @@ def _check_counts(n_in, m_out=UNBOUNDED) -> None:
             f"cloning cannot reduce the copy count: {_shown(n_in)} -> {_shown(m_out)}")
 
 
-@dataclass(frozen=True, order=True)
-class Fidelity:
+@total_ordering
+class Fidelity(_Value):
     """Overlap <psi|rho|psi> between the input and one clone, in [0, 1]."""
 
-    value: Scalar
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        _check_variance("fidelity", self.value)
-        if self.value > 1:
-            raise DomainError(f"fidelity must lie in [0, 1], got {_shown(self.value)}")
+    def __init__(self, value: Scalar):
+        _check_variance("fidelity", value)
+        if value > 1:
+            raise DomainError(f"fidelity must lie in [0, 1], got {_shown(value)}")
+        self._set("value", value)
+
+    def __lt__(self, other):
+        return self.value < other.value if type(other) is type(self) else NotImplemented
 
     def __float__(self) -> float:
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class ClonerSpec:
+class ClonerSpec(_Value):
     """An N -> M symmetric Gaussian cloner with per-quadrature noise.
 
     Any non-negative noise is representable (suboptimal cloners are valid
@@ -100,13 +104,14 @@ class ClonerSpec:
     :func:`squeezed_variant` pin the noise to the optimal value.
     """
 
-    n_in: int
-    m_out: CopyCount
-    noise: NoiseCovariance
+    __slots__ = ("n_in", "m_out", "noise")
 
-    def __post_init__(self):
-        _check_counts(self.n_in, self.m_out)
-        _check_type("noise", self.noise, NoiseCovariance)
+    def __init__(self, n_in: int, m_out: CopyCount, noise: NoiseCovariance):
+        _check_counts(n_in, m_out)
+        _check_type("noise", noise, NoiseCovariance)
+        self._set("n_in", n_in)
+        self._set("m_out", m_out)
+        self._set("noise", noise)
 
     def meets_noise_bound(self) -> bool:
         """True when the noise product is at or above the optimal bound.

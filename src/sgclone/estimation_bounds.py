@@ -22,7 +22,6 @@ and p on the other, and each outcome is rescaled by sqrt(2/N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -30,8 +29,8 @@ from typing import TYPE_CHECKING
 from .cloner import _check_counts, _Unbounded
 from .errors import DomainError
 from .quadrature_core import (
-    CoherentState, GaussianMixtureState, NoiseCovariance, _as_amplitude, _check_int, _check_type,
-    _check_uncertainty, _check_variance, _finite,
+    CoherentState, GaussianMixtureState, NoiseCovariance, _Value, _as_amplitude, _check_int,
+    _check_type, _check_uncertainty, _check_variance, _finite,
 )
 
 if TYPE_CHECKING:
@@ -44,22 +43,20 @@ SAMPLES_LIMIT = 10**8
 RATIO_POINTS_LIMIT = 10**6 + 1
 
 
-@dataclass(frozen=True)
-class MeasurementWeights:
+class MeasurementWeights(_Value):
     """Strictly positive weights (g_x, g_p) for the joint-measurement bound."""
 
-    g_x: float
-    g_p: float
+    __slots__ = ("g_x", "g_p")
 
-    def __post_init__(self):
-        for name, g in (("g_x", self.g_x), ("g_p", self.g_p)):
+    def __init__(self, g_x: float, g_p: float):
+        for name, g in (("g_x", g_x), ("g_p", g_p)):
             _check_variance(name, g)
             if not g > 0:
                 raise DomainError(f"{name} must be finite and > 0, got {g!r}")
+            self._set(name, g)
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(_Value):
     """Sample statistics of a simulated measurement run.
 
     ``stderr_x``/``stderr_p`` are the standard errors of the reported
@@ -70,22 +67,20 @@ class VarianceReport:
     Identical (scenario, seed, samples) produce an identical report.
     """
 
-    var_x_hat: float
-    var_p_hat: float
-    stderr_x: float
-    stderr_p: float
-    mean_x_hat: float
-    mean_p_hat: float
-    samples: int
-    seed: int
+    __slots__ = ("var_x_hat", "var_p_hat", "stderr_x", "stderr_p", "mean_x_hat", "mean_p_hat",
+                 "samples", "seed")
 
-    def __post_init__(self):
-        _check_int("samples", self.samples, 2)
-        _check_int("seed", self.seed, 0)
-        for name in ("var_x_hat", "var_p_hat", "stderr_x", "stderr_p"):
-            _check_variance(name, getattr(self, name))
-        for name in ("mean_x_hat", "mean_p_hat"):
-            _as_amplitude(getattr(self, name), name, real=True)
+    def __init__(self, var_x_hat: float, var_p_hat: float, stderr_x: float, stderr_p: float,
+                 mean_x_hat: float, mean_p_hat: float, samples: int, seed: int):
+        _check_int("samples", samples, 2)
+        _check_int("seed", seed, 0)
+        values = (var_x_hat, var_p_hat, stderr_x, stderr_p, mean_x_hat, mean_p_hat, samples, seed)
+        for name, value in zip(self._fields[:4], values):  # the variances and their errors
+            _check_variance(name, value)
+        for name, value in zip(self._fields[4:6], values[4:]):  # the means
+            _as_amplitude(value, name, real=True)
+        for name, value in zip(self._fields, values):
+            self._set(name, value)
 
 
 def arthurs_kelly_margin(var_x, var_p):

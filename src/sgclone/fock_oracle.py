@@ -35,7 +35,6 @@ the one-node rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -46,6 +45,7 @@ from .quadrature_core import (
     GaussianMixtureState,
     NoiseCovariance,
     SqueezedState,
+    _Value,
     _as_amplitude,
     _check_int,
     _check_type,
@@ -109,14 +109,14 @@ def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(_Value):
     """Tensor Gauss-Hermite grid matched to the Gaussian displacement weight."""
 
-    nodes_per_axis: int = DEFAULT_NODES
+    __slots__ = ("nodes_per_axis",)
 
-    def __post_init__(self):
-        _check_int("nodes_per_axis", self.nodes_per_axis, 2, maximum=NODES_LIMIT)
+    def __init__(self, nodes_per_axis: int = DEFAULT_NODES):
+        _check_int("nodes_per_axis", nodes_per_axis, 2, maximum=NODES_LIMIT)
+        self._set("nodes_per_axis", nodes_per_axis)
 
     def axis_nodes(self, variance) -> tuple[np.ndarray, np.ndarray]:
         """Amplitude offsets and probability weights for one quadrature axis."""
@@ -127,31 +127,31 @@ class QuadratureGrid:
         return math.sqrt(float(variance)) * t, w / math.sqrt(math.pi)
 
 
-def _freeze_array(owner, name: str, shape: tuple) -> None:
-    """Store ``owner.<name>`` as a read-only complex copy: finite numbers in ``shape``."""
+def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
+    """A read-only complex copy of ``value``: finite numbers in ``shape``."""
     try:
-        arr = np.asarray(getattr(owner, name))
+        arr = np.asarray(value)
         arr = arr.astype(complex) if arr.dtype.kind in "iufcO" else None  # no bools, no "1"s
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite numbers, got {_shown(getattr(owner, name)):.60}")
+        raise DomainError(f"{name} must be finite numbers, got {_shown(value):.60}")
     if arr.shape != shape:
         raise DimensionError(f"expected {name} of shape {shape}, got shape {arr.shape}")
     arr.setflags(write=False)
-    object.__setattr__(owner, name, arr)
+    return arr
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """State vector over the number states |0>, ..., |cutoff>."""
+class FockVector(_Value):
+    """State vector over the number states |0>, ..., |cutoff>; equal only to itself."""
 
-    cutoff: int
-    amplitudes: np.ndarray
+    __slots__ = ("cutoff", "amplitudes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        _check_int("cutoff", self.cutoff, 1)
-        _freeze_array(self, "amplitudes", (self.cutoff + 1,))
+    def __init__(self, cutoff: int, amplitudes: np.ndarray):
+        _check_int("cutoff", cutoff, 1)
+        self._set("cutoff", cutoff)
+        self._set("amplitudes", _frozen_array("amplitudes", amplitudes, (cutoff + 1,)))
         if self.norm_sq > 1 + _HERMITICITY_TOL:
             raise DomainError(f"amplitudes exceed unit norm: {self.norm_sq}")
 
@@ -160,16 +160,16 @@ class FockVector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, near-unit-trace operator on the truncated number basis."""
+class DensityMatrix(_Value):
+    """Hermitian, near-unit-trace operator on the truncated number basis; equal only to itself."""
 
-    cutoff: int
-    matrix: np.ndarray
+    __slots__ = ("cutoff", "matrix")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        _check_int("cutoff", self.cutoff, 1)
-        _freeze_array(self, "matrix", (self.cutoff + 1,) * 2)
+    def __init__(self, cutoff: int, matrix: np.ndarray):
+        _check_int("cutoff", cutoff, 1)
+        self._set("cutoff", cutoff)
+        self._set("matrix", _frozen_array("matrix", matrix, (cutoff + 1,) * 2))
         if self.hermiticity_defect() > _HERMITICITY_TOL:
             raise DomainError(f"matrix is not Hermitian within {_HERMITICITY_TOL}")
 

@@ -23,15 +23,17 @@ grids).  Numeric results go through one guard, ``_finite``.  Each raises
 DomainError, not TypeError, and names a bad value through ``_shown``, which
 gives an int too long for Python to print by its bit length.
 
-Everything in this module is an immutable value or a pure function.
+Everything in this module is an immutable value or a pure function.  Every value
+class of the package is a slotted ``_Value`` whose own ``__init__`` checks and
+stores its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Real
+from operator import attrgetter
 from typing import Union
 
 from .errors import DomainError
@@ -138,20 +140,49 @@ def _check_uncertainty(dx2, dp2) -> None:
         raise DomainError("intrinsic variances violate dx2 * dp2 >= 1/4")
 
 
-@dataclass(frozen=True)
-class SqueezedState:
+class _Value:
+    """Immutable value of ``_fields`` (by default the slots of its classes): equal by exact type
+    and fields, through one attrgetter key per class; copied and pickled through its constructor."""
+
+    __slots__ = _fields = ()
+    _set = object.__setattr__  # bound to the instance: self._set(name, value)
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls._fields + cls.__dict__.get("__slots__", ()))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SqueezedState(_Value):
     """Quadrature-squeezed state: var_x = e^{2r}/2, var_p = e^{-2r}/2.
 
     The uncertainty product stays at the minimum 1/4 for every squeezing
     parameter r; r = 0 reduces to coherent-state semantics.
     """
 
-    alpha: complex
-    r: float
+    __slots__ = ("alpha", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_amplitude(self.alpha))
-        object.__setattr__(self, "r", _as_amplitude(self.r, "squeezing parameter", real=True).real)
+    def __init__(self, alpha: complex, r: float):
+        self._set("alpha", _as_amplitude(alpha))
+        self._set("r", _as_amplitude(r, "squeezing parameter", real=True).real)
 
     def quadrature_means(self) -> tuple[float, float]:
         return math.sqrt(2.0) * self.alpha.real, math.sqrt(2.0) * self.alpha.imag
@@ -160,23 +191,26 @@ class SqueezedState:
         return _squeezed(0.5, 0.5, self.r)
 
 
-@dataclass(frozen=True)
 class CoherentState(SqueezedState):
     """Coherent state |alpha>: the squeezed state with r = 0, variances 1/2."""
 
-    r: float = field(default=0.0, init=False, repr=False)
+    __slots__ = ()
+    _fields = ("alpha",)
+
+    def __init__(self, alpha: complex):
+        super().__init__(alpha, 0.0)
 
 
-@dataclass(frozen=True)
-class NoiseCovariance:
+class NoiseCovariance(_Value):
     """Diagonal covariance of a Gaussian displacement distribution."""
 
-    var_x: Scalar
-    var_p: Scalar
+    __slots__ = ("var_x", "var_p")
 
-    def __post_init__(self):
-        _check_variance("var_x", self.var_x)
-        _check_variance("var_p", self.var_p)
+    def __init__(self, var_x: Scalar, var_p: Scalar):
+        _check_variance("var_x", var_x)
+        _check_variance("var_p", var_p)
+        self._set("var_x", var_x)
+        self._set("var_p", var_p)
 
     @property
     def is_isotropic(self) -> bool:
@@ -187,20 +221,20 @@ class NoiseCovariance:
         return self.var_x == 0 and self.var_p == 0
 
 
-@dataclass(frozen=True)
-class GaussianMixtureState:
+class GaussianMixtureState(_Value):
     """A center state convolved with a Gaussian displacement distribution.
 
     Zero noise represents the pure center state; total second moments are
     intrinsic plus noise, per quadrature.
     """
 
-    center: SqueezedState
-    noise: NoiseCovariance
+    __slots__ = ("center", "noise")
 
-    def __post_init__(self):
-        _check_type("center", self.center, SqueezedState)
-        _check_type("noise", self.noise, NoiseCovariance)
+    def __init__(self, center: SqueezedState, noise: NoiseCovariance):
+        _check_type("center", center, SqueezedState)
+        _check_type("noise", noise, NoiseCovariance)
+        self._set("center", center)
+        self._set("noise", noise)
 
     @property
     def is_pure(self) -> bool:
@@ -224,7 +258,8 @@ def displace(state, beta):
     if isinstance(state, GaussianMixtureState):
         return GaussianMixtureState(displace(state.center, beta), state.noise)
     _check_type("state", state, SqueezedState)
-    return replace(state, alpha=state.alpha + beta)
+    cls, (alpha, *rest) = state.__reduce__()  # the state's own constructor and arguments
+    return cls(alpha + beta, *rest)
 
 
 def overlap_sq(a, b) -> float:

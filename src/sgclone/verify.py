@@ -13,7 +13,6 @@ oracle state once, each into one table that all of the suite's checks read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import cloner, estimation_bounds, quadrature_core
@@ -47,13 +46,15 @@ ADDITIVITY_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: float
-    observed: float
-    tolerance: float
-    passed: bool
+class Check(quadrature_core._Value):
+    __slots__ = ("name", "expected", "observed", "tolerance", "passed")
+
+    def __init__(self, name: str, expected: float, observed: float, tolerance: float, passed: bool):
+        self._set("name", name)
+        self._set("expected", expected)
+        self._set("observed", observed)
+        self._set("tolerance", tolerance)
+        self._set("passed", passed)
 
     def as_dict(self) -> dict:
         return {
@@ -65,9 +66,13 @@ class Check:
         }
 
 
-@dataclass
-class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
+class VerificationReport(quadrature_core._Value):
+    """The checks of one suite; ``checks`` is a list the suite appends to."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[Check] | None = None):
+        self._set("checks", [] if checks is None else checks)
 
     @property
     def overall(self) -> bool:

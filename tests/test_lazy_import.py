@@ -1,9 +1,13 @@
 """The closed-form surface loads no numerics; numeric names load on first use.
 
 ``verify-bounds``, the bounds of ``estimation_bounds`` and every ``verify-*``
-argument error the standard library can decide run without numpy.
+argument error the standard library can decide run without numpy.  Against a
+bare interpreter started the same way (its ``site`` may import part of the
+standard library already), these commands add neither ``dataclasses`` nor
+``inspect``, and a command adds ``json`` or ``csv`` only for that format.
 """
 
+import functools
 import importlib
 import os
 import subprocess
@@ -35,31 +39,55 @@ PUBLIC_NAMES = {
     "verify_mc", "weight_ratio_grid",
 }
 
-_PROBE = """
+_MODULES = "print(' '.join(sorted(sys.modules)))"
+_PROBE = f"""
 import sys
 import sgclone
 import sgclone.cli
 code = sgclone.cli.main(sys.argv[1:])
 print("exit", code, "numpy" in sys.modules)
+{_MODULES}
 """
 
+#: (argv, exit code): the closed-form commands, verify-bounds and the verify-*
+#: usage errors, each in a format named by its ``--format`` (text by default).
+COLD_COMMANDS = [
+    (("fidelity", "1", "2"), 0),
+    (("variance", "2", "5", "--r", "0.3", "--format", "json"), 0),
+    (("cascade", "1", "2", "4"), 0),
+    (("table", "3", "6", "--format", "csv"), 0),
+    (("fidelity", "3", "2"), 2),
+    (("verify-bounds",), 0),
+    (("verify-mc", "--seed", "-1", "--samples", "10"), 2),
+    (("verify-mc", "--samples", "1"), 2),
+    (("verify-fock", "--tolerance", "nan"), 2),
+]
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["fidelity", "1", "2"], 0),
-        (["variance", "2", "5", "--r", "0.3", "--format", "json"], 0),
-        (["cascade", "1", "2", "4"], 0),
-        (["table", "3", "6", "--format", "csv"], 0),
-        (["fidelity", "3", "2"], 2),
-        (["verify-bounds"], 0),
-        (["verify-mc", "--seed", "-1", "--samples", "10"], 2),
-        (["verify-mc", "--samples", "1"], 2),
-        (["verify-fock", "--tolerance", "nan"], 2),
-    ],
-)
+
+@functools.lru_cache(maxsize=None)
+def _command(argv: tuple) -> tuple[str, frozenset]:
+    """The probe's exit line for ``argv`` and the modules it loaded beyond a bare interpreter."""
+    *_, last, modules = _probe(_PROBE, *argv)
+    return last, frozenset(modules.split()) - _bare_modules()
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_modules() -> frozenset:
+    return frozenset(_probe(f"import sys\n{_MODULES}")[-1].split())
+
+
+@pytest.mark.parametrize("argv, code", COLD_COMMANDS)
 def test_closed_form_commands_do_not_import_numpy(argv, code):
-    assert _probe(_PROBE, *argv)[-1] == f"exit {code} False"
+    assert _command(argv)[0] == f"exit {code} False"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COLD_COMMANDS])
+def test_closed_form_commands_load_no_dataclasses_and_only_their_format(argv):
+    added = _command(argv)[1]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    assert "sgclone.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+    assert added & {"json", "csv"} == ({fmt} & {"json", "csv"})
 
 
 _BOUNDS = ("[sgclone.cloning_lower_bound(2, 5),"

@@ -14,6 +14,8 @@ isotropy decision, so ``cloner.py`` holds no ``math.exp`` and no
 Only ``fock_oracle`` imports numpy when it is imported; ``estimation_bounds``
 and ``verify`` import numpy and ``fock_oracle`` inside the functions that
 draw numbers or build arrays, so their bounds and argument checks load none.
+Every value class derives from ``quadrature_core._Value``, so no module imports
+``dataclasses``, in a function body or not, and no class is a ``@dataclass``.
 """
 
 import ast
@@ -28,6 +30,7 @@ FORBIDDEN = {
     "CenterState": r"\bCenterState\b",
     "(CoherentState, SqueezedState)":
         r"\(\s*(CoherentState\s*,\s*SqueezedState|SqueezedState\s*,\s*CoherentState)\s*,?\s*\)",
+    "@dataclass": r"@\s*(dataclasses\s*\.\s*)?dataclass\b",
 }
 
 
@@ -109,3 +112,16 @@ def test_only_fock_oracle_imports_numpy_on_import():
     imported = {path.name: _imported_on_import(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name, modules in imported.items() if "numpy" in modules] == ["fock_oracle.py"]
     assert "fock_oracle" not in imported["estimation_bounds.py"] | imported["verify.py"]
+
+
+def test_no_module_imports_dataclasses():
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else [alias.name for alias in node.names])
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert hits == []

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -6,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sgclone import DomainError, NoiseCovariance, verify_bounds, verify_fock, verify_mc
+from sgclone import ClonerSpec, DomainError, NoiseCovariance, verify_bounds, verify_fock, verify_mc
 from sgclone import cli, cloner, estimation_bounds, fock_oracle, verify
 from sgclone.cli import emit_table, main
 
@@ -84,8 +83,8 @@ class TestVerifySuites:
             out = real(first, second)
             if (first.n_in, first.m_out, second.m_out) != (2, 3, 5):
                 return out
-            return dataclasses.replace(
-                out, noise=NoiseCovariance(out.noise.var_x + EPS, out.noise.var_p + EPS))
+            return ClonerSpec(out.n_in, out.m_out,
+                              NoiseCovariance(out.noise.var_x + EPS, out.noise.var_p + EPS))
 
         monkeypatch.setattr(cloner, "cascade", faulty)
         assert main(["verify-bounds", "--format", "json"]) == 1
