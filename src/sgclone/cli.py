@@ -20,7 +20,7 @@ from .cloner import (
     optimal_noise_variance,
     squeezed_variant,
 )
-from .errors import DomainError, SGCloneError
+from .errors import SGCloneError
 from .quadrature_core import _check_int
 
 FORMATS = ("text", "csv", "json")
@@ -75,13 +75,6 @@ def _table(n_max: int, m_max: int):
     cells = [[n, m, _dec(v), _dec(f)] for n, m, v, f in rows]
     text = "\n".join("{:>4} {:>4} {:>16} {:>16}".format(*row) for row in [header, *cells])
     return {"rows": [dict(zip(header, row)) for row in rows]}, header, cells, text
-
-
-def emit_table(n_max: int, m_max: int, fmt: str = "csv") -> str:
-    """Variance/fidelity grid over all pairs N <= M, one row per pair."""
-    if fmt not in FORMATS:
-        raise DomainError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return _render(fmt, *_table(n_max, m_max))
 
 
 def _value(fields: dict, text: str):

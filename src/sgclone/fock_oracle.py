@@ -30,6 +30,14 @@ with S(r) applied on top (_squeezed_frame), so its mixture is summed in
 that frame and S(r) rho S(r)^dag is taken once.  A coherent center is the
 squeezed center with r = 0, and a pure state is the zero-noise mixture,
 the one-node rule.
+
+What the cutoff loses is judged in one place, _check_truncation, which
+raises TruncationError on a value above its limit or NaN.  It judges five
+quantities: the norm lost by a state vector, the trace lost by a mixture
+(and by the cascade check's summed mixture), each homodyne pmf's miss of
+trace(rho), all against DEFAULT_EPS_TRUNC; and the unitarity defect of
+S(r) on the lower 2/3 of the basis and the leak of S(r)|0> into the top
+third, against _UNITARITY_TOL and _SQUEEZE_TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -184,14 +192,6 @@ class DensityMatrix(_Value):
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def validate(self) -> None:
-        """Physicality check: trace within DEFAULT_EPS_TRUNC of 1, no negativity."""
-        tr = self.trace()
-        if not 1 - DEFAULT_EPS_TRUNC <= tr <= 1 + _HERMITICITY_TOL:
-            raise TruncationError(f"trace {tr} outside [1 - {DEFAULT_EPS_TRUNC}, 1]")
-        if self.min_eigenvalue() < _EIGENVALUE_FLOOR:
-            raise DomainError(f"negative eigenvalue {self.min_eigenvalue()}")
-
 
 def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = None) -> int:
     """Cutoff rule ceil((|alpha| + 5 sqrt(max var) + 3)^2), clamped to [32, 256].
@@ -223,12 +223,11 @@ def _coherent_batch(alphas: np.ndarray, cutoff: int, scale=1.0) -> np.ndarray:
     return out
 
 
-def _check_truncation(kept: float, cutoff: int, what: str) -> None:
-    """Reject a norm or trace that lost more than DEFAULT_EPS_TRUNC to the cutoff."""
-    deficit = 1.0 - kept
-    if deficit > DEFAULT_EPS_TRUNC:
+def _check_truncation(what: str, value: float, limit: float, cutoff: int) -> None:
+    """The one verdict on a loss or defect the cutoff causes: above ``limit``, or NaN, it raises."""
+    if not value <= limit:
         raise TruncationError(
-            f"cutoff {cutoff} drops {deficit:.3e} of {what} (> eps_trunc={DEFAULT_EPS_TRUNC:.1e})"
+            f"cutoff {cutoff} is too small: {what} is {value:.3e}, above its limit {limit:.1e}"
         )
 
 
@@ -237,10 +236,10 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
 
     Built as V exp(-i r lam) V^dag from the cached spectrum of the
     r-independent generator H = (i/2)(a^dag^2 - a^2).  Applied to vacuum it
-    yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  The matrix must be unitary
-    to 1e-8 on the lower two thirds of the basis and the squeezed vacuum must
-    not leak into the top third; either failure means the cutoff cannot hold
-    the requested squeezing.
+    yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  _check_truncation judges its
+    unitarity defect on the lower two thirds of the basis and the leak of the
+    squeezed vacuum into the top third; either above its limit means the
+    cutoff cannot hold the requested squeezing.
     """
     r = _as_amplitude(r, "squeezing parameter", real=True).real
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
@@ -252,15 +251,11 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     lam, v = _spectrum(dim, "squeeze")
     s = (v * np.exp(-1j * r * lam)) @ v.conj().T
     block = 2 * dim // 3
-    unitarity = np.max(np.abs((s.conj().T @ s - np.eye(dim))[:block, :block]))
-    if unitarity > _UNITARITY_TOL:
-        raise TruncationError(f"squeeze matrix not unitary on the lower 2/3: defect {unitarity:.2e}")
-    tail = float(np.sum(np.abs(s[block:, 0]) ** 2))
-    if tail > _SQUEEZE_TAIL_TOL:
-        raise TruncationError(
-            f"squeezed vacuum leaks {tail:.2e} into the top third of the basis; "
-            f"increase the cutoff for r={r}"
-        )
+    _check_truncation(f"the unitarity defect of S({r}) on the lower 2/3",
+                      float(np.max(np.abs((s.conj().T @ s - np.eye(dim))[:block, :block]))),
+                      _UNITARITY_TOL, cutoff)
+    _check_truncation(f"the leak of S({r})|0> into the top third",
+                      float(np.sum(np.abs(s[block:, 0]) ** 2)), _SQUEEZE_TAIL_TOL, cutoff)
     return s
 
 
@@ -279,7 +274,8 @@ def squeezed_fock_vector(alpha, r: float, cutoff: int) -> FockVector:
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     s = squeeze_fock_matrix(r, cutoff)  # first: it rejects an r the frame cannot hold
     amp = s @ _coherent_batch(_squeezed_frame(alpha, r), cutoff)[:, 0]
-    _check_truncation(float(np.vdot(amp, amp).real), cutoff, f"D({alpha:.3f}) S({r})|0>")
+    _check_truncation(f"the norm lost by D({alpha:.3f}) S({r})|0>",
+                      1.0 - float(np.vdot(amp, amp).real), DEFAULT_EPS_TRUNC, cutoff)
     return FockVector(cutoff, amp)
 
 
@@ -357,7 +353,8 @@ def mixture_density_matrix(
     grid = QuadratureGrid() if grid is None else grid
     _check_type("grid", grid, QuadratureGrid)
     rho = _projector_sum(mixture.center, mixture.noise, grid, cutoff)
-    _check_truncation(float(np.trace(rho).real), cutoff, "the mixture")
+    _check_truncation("the trace lost by the mixture", 1.0 - float(np.trace(rho).real),
+                      DEFAULT_EPS_TRUNC, cutoff)
     return DensityMatrix(cutoff, rho)
 
 
@@ -439,7 +436,8 @@ def cascade_density_check(
     dim = _PADDING * d
     rho_cascaded = _cascaded_density(center, noise_first, noise_second, dim, grid)
     rho_summed = _projector_sum(center, total, grid, dim - 1)[:d, :d]
-    _check_truncation(float(np.trace(rho_summed).real), cutoff, "the summed mixture")
+    _check_truncation("the trace lost by the summed mixture",
+                      1.0 - float(np.trace(rho_summed).real), DEFAULT_EPS_TRUNC, cutoff)
     return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed)))
 
 
@@ -493,9 +491,7 @@ def _homodyne_pmfs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
     h = t[1] - t[0]
     pmfs = [h * np.einsum("nk,nk->k", psi, m.real @ psi) for m in (rho.matrix, rotated)]
     for quadrature, pmf in zip("xp", pmfs):
-        gap = abs(pmf.sum() - rho.trace())
-        if not gap <= DEFAULT_EPS_TRUNC:
-            raise TruncationError(f"the {quadrature} pmf misses trace(rho) by {gap:.3e} "
-                                  f"(> eps_trunc={DEFAULT_EPS_TRUNC:.1e})")
+        _check_truncation(f"the {quadrature} pmf's miss of trace(rho)",
+                          abs(pmf.sum() - rho.trace()), DEFAULT_EPS_TRUNC, rho.cutoff)
     # Rounding leaves entries near -1e-25 where a density vanishes; a pmf has none.
     return t, *(np.maximum(pmf, 0.0) for pmf in pmfs)

@@ -196,12 +196,12 @@ def verify_fock(
 
     report = VerificationReport()
     add = report.checks.append
-    grid = fock_oracle.QuadratureGrid(nodes)
     # The convergence check doubles nodes and cutoff: reject a double beyond
     # its limit before the first mixture is built.
-    fine_grid = fock_oracle.QuadratureGrid(2 * grid.nodes_per_axis)
+    quadrature_core._check_int("nodes", nodes, 2, maximum=fock_oracle.NODES_LIMIT // 2)
     if cutoff is not None:
         quadrature_core._check_int("cutoff", cutoff, 1, maximum=fock_oracle.CUTOFF_LIMIT // 2)
+    grid = fock_oracle.QuadratureGrid(nodes)
 
     scenarios = list(ORACLE_SCENARIOS) + [(1, UNBOUNDED)]
     oracle = {
@@ -242,7 +242,8 @@ def verify_fock(
 
     f_base, base_rho = oracle[1, 2, 1 + 0j]
     ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
-    f_fine, _ = _oracle_fidelity(ref_mix, fine_grid, 2 * base_rho.cutoff)
+    f_fine, _ = _oracle_fidelity(ref_mix, fock_oracle.QuadratureGrid(2 * nodes),
+                                 2 * base_rho.cutoff)
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 
     spec = cloner.squeezed_variant(1, 2, 0.5)

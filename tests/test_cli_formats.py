@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from sgclone import verify
-from sgclone.cli import emit_table, main
+from sgclone import cli, verify
+from sgclone.cli import main
 
 INF = "inf"
 FORMATS = ("text", "csv", "json")
@@ -93,7 +93,7 @@ def test_cascade(capsys, fmt, n, m, l):
 
 
 def table_output(fmt, n_max, m_max):
-    """The whole grid as ``emit_table`` returns it: no final newline in json and text."""
+    """The whole grid as ``cli._render`` returns it: no final newline in json and text."""
     pairs = [(n, m) for n in range(1, n_max + 1) for m in range(n, m_max + 1)]
     if fmt == "json":
         rows = [{"n": n, "m": m, "variance": float(noise(n, m)),
@@ -111,8 +111,8 @@ def table_output(fmt, n_max, m_max):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("n_max, m_max", [(1, 1), (1, 3), (2, 4), (3, 6)])
 class TestTable:
-    def test_emit_table_returns_the_grid(self, fmt, n_max, m_max):
-        assert emit_table(n_max, m_max, fmt) == table_output(fmt, n_max, m_max)
+    def test_render_returns_the_grid(self, fmt, n_max, m_max):
+        assert cli._render(fmt, *cli._table(n_max, m_max)) == table_output(fmt, n_max, m_max)
 
     def test_command_prints_it_with_one_final_newline(self, capsys, fmt, n_max, m_max):
         out = run(capsys, ["table", str(n_max), str(m_max), "--format", fmt])

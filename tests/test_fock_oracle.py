@@ -37,9 +37,25 @@ SQUEEZED_CASCADE = (
 )
 
 
+def truncated(quantity):
+    """The one verdict's wording, naming what the cutoff lost."""
+    return rf"^cutoff \d+ is too small: {quantity} is \S+, above its limit \S+$"
+
+
 def make_mixture(alpha, var_x, var_p=None):
     var_p = var_x if var_p is None else var_p
     return GaussianMixtureState(CoherentState(alpha), NoiseCovariance(var_x, var_p))
+
+
+class TestTruncationVerdict:
+    def test_a_loss_at_its_limit_passes(self):
+        fock_oracle._check_truncation("the norm lost", 1e-10, 1e-10, 8)
+
+    @pytest.mark.parametrize("value", [2e-10, math.inf, math.nan])
+    def test_a_loss_above_its_limit_or_nan_is_a_truncation_error(self, value):
+        # a NaN loss says nothing was kept, so it must not pass as a small one
+        with pytest.raises(TruncationError, match=truncated("the norm lost")):
+            fock_oracle._check_truncation("the norm lost", value, 1e-10, 8)
 
 
 class TestCoherentFockVector:
@@ -60,7 +76,7 @@ class TestCoherentFockVector:
         assert abs(observed - n_bar) < 1e-10
 
     def test_insufficient_cutoff(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=truncated(r"the norm lost by D\(4\.000.*\)\|0>")):
             coherent_fock_vector(4, 8)
 
     def test_amplitudes_are_immutable(self):
@@ -142,12 +158,12 @@ class TestMixtureDensityMatrix:
 
     def test_physicality(self):
         rho = mixture_density_matrix(make_mixture(1 + 1j, 0.5))
-        rho.validate()
+        assert 1 - fock_oracle.DEFAULT_EPS_TRUNC <= rho.trace() <= 1 + 1e-12
         assert rho.hermiticity_defect() < 1e-12
         assert rho.min_eigenvalue() > -1e-10
 
     def test_cutoff_too_small(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
             mixture_density_matrix(make_mixture(2 - 1j, 1.0), cutoff=16)
 
 
@@ -230,7 +246,7 @@ class TestHomodynePmfs:
             return DensityMatrix(n, matrix)
 
         assert fock_oracle._homodyne_pmfs(number_state(256))[1].sum() == pytest.approx(1, abs=1e-12)
-        with pytest.raises(TruncationError, match="pmf misses trace"):
+        with pytest.raises(TruncationError, match=truncated(r"the x pmf's miss of trace\(rho\)")):
             fock_oracle._homodyne_pmfs(number_state(400))
 
 
@@ -316,9 +332,9 @@ class TestCascadeDensityCheck:
     def test_too_small_cutoff_is_a_truncation_error(self):
         # the summed route keeps almost none of |10> at cutoff 4, so the gap is vacuous
         half = NoiseCovariance(0.5, 0.5)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
             mixture_density_matrix(GaussianMixtureState(CoherentState(10), add_noise(half, half)), 4)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the summed mixture")):
             cascade_density_check(CoherentState(10), half, half, 4, FAST_GRID)
 
     def test_doubled_padding_does_not_move_the_gap(self, monkeypatch):
@@ -370,8 +386,22 @@ class TestSqueezing:
             squeeze_fock_matrix(1.6, 128)
 
     def test_rejects_cutoff_too_small_for_r(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError,
+                           match=truncated(r"the leak of S\(1\.5\)\|0> into the top third")):
             squeeze_fock_matrix(1.5, 32)
+
+    def test_rejects_a_squeeze_matrix_that_is_not_unitary(self, monkeypatch):
+        # V exp(-i r lam) V^dag is unitary to rounding, so only a spoiled V reaches this verdict
+        spectrum = fock_oracle._spectrum
+
+        def spoiled(dim, generator):
+            lam, v = spectrum(dim, generator)
+            return lam, 1.001 * v
+
+        monkeypatch.setattr(fock_oracle, "_spectrum", spoiled)
+        with pytest.raises(TruncationError,
+                           match=truncated(r"the unitarity defect of S\(0\.5\) on the lower 2/3")):
+            squeeze_fock_matrix(0.5, 40)
 
     def test_squeezed_vector_matches_matrix_route(self):
         vec = squeezed_fock_vector(0, 0.5, 40)
@@ -400,16 +430,6 @@ class TestDensityMatrixType:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(DomainError):
             DensityMatrix(1, bad)
-
-    def test_validate_flags_negativity(self):
-        rho = DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
-        with pytest.raises(DomainError):
-            rho.validate()
-
-    def test_validate_flags_trace_deficit(self):
-        rho = DensityMatrix(1, np.diag([0.9, 0.0]).astype(complex))
-        with pytest.raises(TruncationError):
-            rho.validate()
 
     def test_shape_checked(self):
         with pytest.raises(DimensionError):
@@ -442,10 +462,9 @@ class TestDensityMatrixType:
         with pytest.raises(DomainError):
             DensityMatrix(1, [[0, 1e308], [-1e308, 0]])
 
-    @pytest.mark.parametrize("method", ["trace", "validate"])
-    def test_overflowing_trace_is_a_domain_error(self, method):
+    def test_overflowing_trace_is_a_domain_error(self):
         with pytest.raises(DomainError, match="trace overflows the float range"):
-            getattr(DensityMatrix(1, np.diag([1e308, 1e308])), method)()
+            DensityMatrix(1, np.diag([1e308, 1e308])).trace()
 
     def test_copies_and_freezes_the_caller_array(self):
         mat = np.eye(2) / 2

@@ -67,7 +67,7 @@ from sgclone import (
     verify_mc,
     weight_ratio_grid,
 )
-from sgclone.cli import emit_table
+from sgclone import cli
 
 #: Parameter kinds: SIZE a size-like integer (count, cutoff, nodes, samples,
 #: points), SEED any other integer, REAL a real or complex scalar
@@ -114,7 +114,7 @@ CASES = [
      (None, SIZE, None)),
     (cascade_density_check, (CoherentState(0), HALF, HALF, 1, SMALL_GRID),
      (None, None, None, SIZE, None)),
-    (emit_table, (1, 2), (SIZE, SIZE)),
+    (cli._table, (1, 2), (SIZE, SIZE)),
     # cutoff 1 fails truncation at once, so only a drawn cutoff runs the suite.
     (verify_fock, (1e-5, 2, 1), (REAL, SIZE, SIZE)),
     (verify_mc, (2, 42), (SIZE, SEED)),

@@ -16,6 +16,9 @@ and ``verify`` import numpy and ``fock_oracle`` inside the functions that
 draw numbers or build arrays, so their bounds and argument checks load none.
 Every value class derives from ``quadrature_core._Value``, so no module imports
 ``dataclasses``, in a function body or not, and no class is a ``@dataclass``.
+``fock_oracle._check_truncation`` is the one verdict on what the cutoff loses:
+the three truncation limits are only its arguments, and it alone raises
+``TruncationError``, but for the |r| <= MAX_SQUEEZING argument range.
 """
 
 import ast
@@ -125,3 +128,34 @@ def test_no_module_imports_dataclasses():
         if module.split(".")[0] == "dataclasses"
     ]
     assert hits == []
+
+
+#: The limits that a loss to the cutoff is judged against.
+TRUNCATION_LIMITS = {"DEFAULT_EPS_TRUNC", "_UNITARITY_TOL", "_SQUEEZE_TAIL_TOL"}
+
+
+def test_fock_oracle_has_one_truncation_verdict():
+    tree = ast.parse((PACKAGE / "fock_oracle.py").read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def owner(node):
+        """The function that holds ``node`` (None at module level), and the innermost ``if`` test."""
+        test = None
+        while node in parent and not isinstance(node, ast.FunctionDef):
+            node = parent[node]
+            test = test or (ast.unparse(node.test) if isinstance(node, ast.If) else None)
+        return getattr(node, "name", None), test
+
+    def judged(name):
+        call = parent[name]
+        return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_truncation"
+
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in TRUNCATION_LIMITS
+            and isinstance(node.ctx, ast.Load)]
+    assert {node.id for node in uses} == TRUNCATION_LIMITS
+    assert [(owner(node)[0], ast.unparse(parent[node])) for node in uses if not judged(node)] == []
+    raises = [owner(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and "TruncationError" in ast.unparse(node.exc)]
+    assert sorted(raises) == [("_check_truncation", "not value <= limit"),
+                              ("squeeze_fock_matrix", "abs(r) > MAX_SQUEEZING")]

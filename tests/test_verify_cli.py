@@ -7,7 +7,7 @@ import pytest
 
 from sgclone import ClonerSpec, DomainError, NoiseCovariance, verify_bounds, verify_fock, verify_mc
 from sgclone import cli, cloner, estimation_bounds, fock_oracle, verify
-from sgclone.cli import emit_table, main
+from sgclone.cli import main
 
 EPS = Fraction(1, 10**9)
 
@@ -40,8 +40,10 @@ class TestVerifySuites:
             raise AssertionError("a mixture was built before the size was checked")
 
         monkeypatch.setattr(fock_oracle, "mixture_density_matrix", no_mixture)
-        with pytest.raises(DomainError, match=option):
-            verify_fock(**{option: limit // 2 + 1})
+        # the message names the value given and its own limit, not their doubles
+        given = limit // 2 + 1
+        with pytest.raises(DomainError, match=rf"^{option} must .*, {limit // 2}\], got {given}$"):
+            verify_fock(**{option: given})
 
     def test_fock_suite_defaults_to_the_oracle_grid(self):
         nodes = inspect.signature(verify_fock).parameters["nodes"].default
@@ -158,20 +160,19 @@ class TestCliValues:
         out = capsys.readouterr().out
         assert "3,6,0.166666666667,0.857142857143" in out.splitlines()
 
-    @pytest.mark.parametrize(
-        "args", [("a", 3), (1, 2.5), (1, math.inf), (True, 2), (0, 2), (3, 2), (1, 2, "xml")]
-    )
-    def test_table_rejects_bad_arguments(self, args):
+    @pytest.mark.parametrize("args", [(0, 2), (3, 2), (1, cli.TABLE_LIMIT + 1)])
+    def test_table_rejects_bad_counts(self, args):
         with pytest.raises(DomainError):
-            emit_table(*args)
+            cli._table(*args)
 
     def test_table_checks_the_format_before_building_the_grid(self, monkeypatch):
         def no_grid(*args):
             raise AssertionError("the grid was built before the format was checked")
 
         monkeypatch.setattr(cli, "_table", no_grid)
-        with pytest.raises(DomainError, match="format"):
-            emit_table(1, 2, "xml")
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "1", "2", "--format", "xml"])
+        assert exc.value.code == 2
 
     def test_repeat_invocations_are_byte_identical(self, capsys):
         main(["table", "1", "8", "--format", "csv"])
@@ -244,6 +245,13 @@ class TestCliExitCodes:
         assert main([*argv, "--format", "json"]) == 0
         expected = bounds_report if suite is verify_bounds else suite(**options)
         assert capsys.readouterr().out == json.dumps(expected.as_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("option, given, limit", [("nodes", 1025, 1024), ("cutoff", 513, 512)])
+    def test_verify_fock_names_the_size_given_and_its_own_limit(self, capsys, option, given, limit):
+        assert main(["verify-fock", f"--{option}", str(given)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f", {limit}], got {given}\n")
 
     def test_reversed_counts_exit_two(self, capsys):
         assert main(["fidelity", "2", "1"]) == 2
