@@ -31,6 +31,10 @@ that frame and S(r) rho S(r)^dag is taken once.  A coherent center is the
 squeezed center with r = 0, and a pure state is the zero-noise mixture,
 the one-node rule.
 
+The default cutoff, ceil((|alpha| + sqrt(V ln(1/eps)))^2) with V the larger
+variance of the clone's total covariance, leaves about eps = 1e-12 of the
+trace above it, four decades under DEFAULT_EPS_TRUNC.
+
 What the cutoff loses is judged in one place, _check_truncation, which
 raises TruncationError on a value above its limit or NaN.  It judges five
 quantities: the norm lost by a state vector, the trace lost by a mixture
@@ -60,18 +64,19 @@ from .quadrature_core import (
     _check_variance,
     _finite,
     _shown,
+    _squeezed,
     add_noise,
 )
 
 DEFAULT_NODES = 41
 #: Largest norm or trace a state may lose to the cutoff.
 DEFAULT_EPS_TRUNC = 1e-8
-CUTOFF_MIN = 32
 CUTOFF_MAX = 256
 #: Largest cutoff an array-building function accepts, and largest node count
-#: per axis of a grid (hermgauss builds a nodes x nodes companion matrix).
+#: per axis of a grid: numpy's hermgauss warns of an overflow from 371 nodes on
+#: and gives NaN weights from 372.
 CUTOFF_LIMIT = 1024
-NODES_LIMIT = 2048
+NODES_LIMIT = 370
 #: Declared validity range of the squeeze operator at the default cutoffs.
 MAX_SQUEEZING = 1.5
 
@@ -81,6 +86,8 @@ _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _UNITARITY_TOL = 1e-8
 _SQUEEZE_TAIL_TOL = 1e-5
+#: Trace a state may hold above its default cutoff.
+_TAIL_EPS = 1e-12
 _CHUNK = 65536
 #: Largest total weight of the grid nodes a projector sum may skip.
 _DROPPED_MASS = 1e-18
@@ -194,29 +201,33 @@ class DensityMatrix(_Value):
 
 
 def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = None) -> int:
-    """Cutoff rule ceil((|alpha| + 5 sqrt(max var) + 3)^2), clamped to [32, 256].
+    """Cutoff rule ceil((|alpha| + sqrt(V ln(1/_TAIL_EPS)))^2), at most CUTOFF_MAX.
 
-    Covers the displaced-projector support out to five noise standard
-    deviations with Poisson-tail headroom, and a squeezed center's own
-    photon tail with ceil(8 e^{2|r|}), |r| taken at most MAX_SQUEEZING.
-    The reach |alpha| + 5 sqrt(max var) is capped at sqrt(CUTOFF_MAX): any more gives CUTOFF_MAX.
+    V is the larger diagonal entry of the clone's total covariance: the
+    center's e^{+-2r}/2, |r| taken at most MAX_SQUEEZING, plus the noise on
+    that axis.  A thermal state of variance V holds about e^{-n/V} of its
+    trace above n; a displacement moves that reach out by |alpha| in sqrt(n).
     """
     _check_type("center", center, SqueezedState)
     noise = NoiseCovariance(0, 0) if noise is None else noise
     _check_type("noise", noise, NoiseCovariance)
-    vmax = float(max(noise.var_x, noise.var_p))
-    reach = math.hypot(center.alpha.real, center.alpha.imag) + 5.0 * math.sqrt(vmax)  # maybe inf
-    n = math.ceil((min(reach, math.sqrt(CUTOFF_MAX)) + 3.0) ** 2)
-    squeezed = math.ceil(8.0 * math.exp(2.0 * min(abs(center.r), MAX_SQUEEZING)))
-    return min(CUTOFF_MAX, max(CUTOFF_MIN, n, squeezed))
+    vx, vp = _squeezed(0.5, 0.5, max(-MAX_SQUEEZING, min(center.r, MAX_SQUEEZING)))
+    v = max(vx + float(noise.var_x), vp + float(noise.var_p))
+    reach = math.hypot(center.alpha.real, center.alpha.imag) + math.sqrt(-v * math.log(_TAIL_EPS))
+    return math.ceil(min(reach, math.sqrt(CUTOFF_MAX)) ** 2)
 
 
 def _coherent_batch(alphas: np.ndarray, cutoff: int, scale=1.0) -> np.ndarray:
     """Coherent vectors as columns, ``scale`` times c_0 = e^{-|a|^2/2}, c_n = c_{n-1} a/sqrt(n)."""
-    alphas = np.asarray(alphas, dtype=complex)
+    alphas = np.array(alphas, dtype=complex)
+    radius = np.abs(alphas)
+    # exp(-|a|^2/2) is 0.0 in floats from |a| = 39 on, and so is the rest of
+    # such a column: cutting |a| down to 40 there keeps every product finite.
+    far = radius > 40.0
+    for part in (alphas.real, alphas.imag):
+        part[far] *= 40.0 / radius[far]
     out = np.empty((cutoff + 1, alphas.size), dtype=complex)
-    # exp(-|a|^2/2) is 0.0 in floats from |a| = 39 on; the cap keeps |a|^2 finite.
-    out[0] = scale * np.exp(-0.5 * np.minimum(np.abs(alphas), 40.0) ** 2)
+    out[0] = scale * np.exp(-0.5 * np.minimum(radius, 40.0) ** 2)
     for n in range(1, cutoff + 1):
         np.multiply(out[n - 1], alphas, out=out[n])
         out[n] /= math.sqrt(n)

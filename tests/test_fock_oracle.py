@@ -85,14 +85,49 @@ class TestCoherentFockVector:
             vec.amplitudes[0] = 0
 
 
+#: A coherent grid with isotropic and anisotropic noise, pure states included.
+COHERENT_GRID = [
+    (CoherentState(alpha), NoiseCovariance(*noise))
+    for alpha in (0, 1 + 1j, 2 - 1j, 3j)
+    for noise in ((0, 0), (1 / 3, 1 / 3), (0.5, 0.5), (1, 1), (2, 2), (0.3, 0.7), (1, 0.25), (0, 1))
+]
+
+
+def tail_losses(center, noise, cutoff, extra=40):
+    """losses[c]: the trace a build at cutoff c loses, off the diagonal of one larger build."""
+    rho = mixture_density_matrix(GaussianMixtureState(center, noise), cutoff + extra)
+    return np.cumsum(np.diagonal(rho.matrix).real[::-1])[::-1][1:]
+
+
 class TestDefaultCutoff:
     def test_clamps_low(self):
-        assert default_cutoff(CoherentState(0)) == 32
+        # the pure vacuum: ceil(ln(1e12) / 2)
+        assert default_cutoff(CoherentState(0)) == 14
 
     def test_grows_with_center_and_noise(self):
         small = default_cutoff(CoherentState(0), NoiseCovariance(0.5, 0.5))
         large = default_cutoff(CoherentState(2 - 1j), NoiseCovariance(1, 1))
-        assert 32 <= small < large <= 256
+        assert small < large <= 256
+
+    @pytest.mark.parametrize("center, noise", COHERENT_GRID)
+    def test_loses_at_most_its_tail_eps(self, center, noise):
+        cutoff = default_cutoff(center, noise)
+        assert tail_losses(center, noise, cutoff)[cutoff] <= fock_oracle._TAIL_EPS
+
+    @pytest.mark.parametrize("center, noise",
+                             [(c, n) for c, n in COHERENT_GRID if n.var_x == n.var_p])
+    def test_is_near_the_least_cutoff_that_meets_its_tail_eps(self, center, noise):
+        cutoff = default_cutoff(center, noise)
+        least = int(np.argmax(tail_losses(center, noise, cutoff) <= fock_oracle._TAIL_EPS))
+        assert least <= cutoff <= least + 16
+
+    @pytest.mark.parametrize("center, noise", [
+        (SqueezedState(2, -0.5), NoiseCovariance(0, 0)),
+        (SqueezedState(-2j, 1.2), NoiseCovariance(0.3, 0.3)),
+    ])
+    def test_builds_displaced_squeezed_centers(self, center, noise):
+        rho = mixture_density_matrix(GaussianMixtureState(center, noise))
+        assert rho.cutoff == default_cutoff(center, noise)
 
     def test_clamps_high(self):
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
@@ -124,6 +159,10 @@ class TestQuadratureGrid:
     def test_axis_nodes_reject_invalid_variance(self, variance):
         with pytest.raises(DomainError):
             QuadratureGrid(3).axis_nodes(variance)
+
+    def test_the_largest_node_count_has_finite_weights(self):
+        offsets, weights = QuadratureGrid(fock_oracle.NODES_LIMIT).axis_nodes(1)
+        assert np.isfinite(offsets).all() and np.isfinite(weights).all()
 
     def test_node_count_beyond_the_limit_is_a_domain_error(self):
         QuadratureGrid(fock_oracle.NODES_LIMIT)  # its nodes are built only when first used

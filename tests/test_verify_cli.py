@@ -246,7 +246,10 @@ class TestCliExitCodes:
         expected = bounds_report if suite is verify_bounds else suite(**options)
         assert capsys.readouterr().out == json.dumps(expected.as_dict(), indent=2) + "\n"
 
-    @pytest.mark.parametrize("option, given, limit", [("nodes", 1025, 1024), ("cutoff", 513, 512)])
+    @pytest.mark.parametrize("option, given, limit", [
+        ("nodes", fock_oracle.NODES_LIMIT // 2 + 1, fock_oracle.NODES_LIMIT // 2),
+        ("cutoff", 513, 512),
+    ])
     def test_verify_fock_names_the_size_given_and_its_own_limit(self, capsys, option, given, limit):
         assert main(["verify-fock", f"--{option}", str(given)]) == 2
         captured = capsys.readouterr()
