@@ -1,13 +1,14 @@
 """Truncated-Fock-space oracle for Gaussian displacement mixtures.
 
 Everything here rebuilds states and operators numerically, independently of
-the closed-form layer: coherent vectors from the number-basis expansion
-c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), mixtures by Gauss-Hermite
-integration over the displacement distribution, moments read off three
-diagonals of rho, homodyne pmfs of x and p on a grid of bins (what the
-Monte Carlo simulations draw from), and squeezing and displacement by the
-exponential of a Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag
-from one cached eigh of H.
+the closed-form layer: displaced squeezed vectors D(alpha) S(r)|0> from one
+three-term recurrence in the number basis, exact entry by entry (a coherent
+vector is the r = 0 column), mixtures by Gauss-Hermite integration over the
+displacement distribution, moments read off three diagonals of rho, homodyne
+pmfs of x and p on a grid of bins (what the Monte Carlo simulations draw
+from), and the cascade channel's displacements by the exponential of a
+Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh
+of H.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -22,26 +23,23 @@ quadrature error.  The lightest nodes, whose weights sum to at most
 _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more (955 of
 the 1681 nodes of the default grid are kept).
 
-The sum is one real symmetric product: the coherent vectors, scaled by
-sqrt(w), are stacked as B = [Re; Im] and rho is read off the blocks of
-B B^T, so a coherent center's rho is Hermitian to the bit.  A squeezed
-center D(alpha) S(r)|0> is the coherent vector of a rescaled amplitude
-with S(r) applied on top (_squeezed_frame), so its mixture is summed in
-that frame and S(r) rho S(r)^dag is taken once.  A coherent center is the
-squeezed center with r = 0, and a pure state is the zero-noise mixture,
-the one-node rule.
+The sum is one real symmetric product: the columns D(alpha_k) S(r)|0>,
+scaled by sqrt(w), are stacked as B = [Re; Im] and rho is read off the
+blocks of B B^T, so rho is Hermitian to the bit.  Every column comes from
+one builder, _fock_columns: a coherent center is the squeezed center with
+r = 0, and a pure state is the zero-noise mixture, the one-node rule.
 
 The default cutoff, ceil((|alpha| + sqrt(V ln(1/eps)))^2) with V the larger
 variance of the clone's total covariance, leaves about eps = 1e-12 of the
 trace above it, four decades under DEFAULT_EPS_TRUNC.
 
 What the cutoff loses is judged in one place, _check_truncation, which
-raises TruncationError on a value above its limit or NaN.  It judges five
+raises TruncationError on a value above its limit or NaN.  It judges four
 quantities: the norm lost by a state vector, the trace lost by a mixture
 (and by the cascade check's summed mixture), each homodyne pmf's miss of
-trace(rho), all against DEFAULT_EPS_TRUNC; and the unitarity defect of
-S(r) on the lower 2/3 of the basis and the leak of S(r)|0> into the top
-third, against _UNITARITY_TOL and _SQUEEZE_TAIL_TOL.
+trace(rho), all against DEFAULT_EPS_TRUNC; and the leak of the squeeze
+operator's S(r)|0> into the top third of its basis, against
+_SQUEEZE_TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -77,14 +75,13 @@ CUTOFF_MAX = 256
 #: and gives NaN weights from 372.
 CUTOFF_LIMIT = 1024
 NODES_LIMIT = 370
-#: Declared validity range of the squeeze operator at the default cutoffs.
+#: Declared range of the squeezing r of a built state and of the squeeze operator.
 MAX_SQUEEZING = 1.5
 
 #: Physicality floors: the largest hermiticity defect (also the trace or norm
 #: excess over 1) and the lowest eigenvalue a density matrix may carry.
 _HERMITICITY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-_UNITARITY_TOL = 1e-8
 _SQUEEZE_TAIL_TOL = 1e-5
 #: Trace a state may hold above its default cutoff.
 _TAIL_EPS = 1e-12
@@ -217,19 +214,33 @@ def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = Non
     return math.ceil(min(reach, math.sqrt(CUTOFF_MAX)) ** 2)
 
 
-def _coherent_batch(alphas: np.ndarray, cutoff: int, scale=1.0) -> np.ndarray:
-    """Coherent vectors as columns, ``scale`` times c_0 = e^{-|a|^2/2}, c_n = c_{n-1} a/sqrt(n)."""
+def _fock_columns(alphas: np.ndarray, r: float, cutoff: int, scale=1.0) -> np.ndarray:
+    """Columns D(a) S(r)|0> from c_n = (b c_{n-1} - t sqrt(n-1) c_{n-2}) / sqrt(n), each exact.
+
+    t = -tanh r, b = a + conj(a) t and c_0 = ``scale`` exp(-|a|^2/2 - conj(a)^2 t/2) /
+    sqrt(cosh r) are read off the Bargmann function c_0 exp(-t z^2/2 + b z) (Yuen, PRA
+    13, 2226 (1976)).  At r = 0 the t-terms are skipped: this is the coherent column.
+    """
+    if abs(r) > MAX_SQUEEZING:
+        raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
+    t = -math.tanh(r)
     alphas = np.array(alphas, dtype=complex)
     radius = np.abs(alphas)
-    # exp(-|a|^2/2) is 0.0 in floats from |a| = 39 on, and so is the rest of
-    # such a column: cutting |a| down to 40 there keeps every product finite.
-    far = radius > 40.0
+    # Re log c_0 = -(1+t) x^2/2 - (1-t) y^2/2 makes the column 0.0 in floats from
+    # |a| = reach on: cutting |a| down to reach there keeps every product finite.
+    reach = 40.0 / math.sqrt(1.0 - abs(t))
+    far = radius > reach
     for part in (alphas.real, alphas.imag):
-        part[far] *= 40.0 / radius[far]
+        part[far] *= reach / radius[far]
+    exponent, b = -0.5 * np.minimum(radius, reach) ** 2, alphas
+    if t:
+        exponent, b = exponent - 0.5 * t * alphas.conj() ** 2, alphas + t * alphas.conj()
     out = np.empty((cutoff + 1, alphas.size), dtype=complex)
-    out[0] = scale * np.exp(-0.5 * np.minimum(radius, 40.0) ** 2)
+    out[0] = scale / math.sqrt(math.cosh(r)) * np.exp(exponent)
     for n in range(1, cutoff + 1):
-        np.multiply(out[n - 1], alphas, out=out[n])
+        np.multiply(out[n - 1], b, out=out[n])
+        if t and n > 1:
+            out[n] -= t * math.sqrt(n - 1) * out[n - 2]
         out[n] /= math.sqrt(n)
     return out
 
@@ -247,10 +258,9 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
 
     Built as V exp(-i r lam) V^dag from the cached spectrum of the
     r-independent generator H = (i/2)(a^dag^2 - a^2).  Applied to vacuum it
-    yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  _check_truncation judges its
-    unitarity defect on the lower two thirds of the basis and the leak of the
-    squeezed vacuum into the top third; either above its limit means the
-    cutoff cannot hold the requested squeezing.
+    yields var_x = e^{2r}/2, var_p = e^{-2r}/2.  _check_truncation judges the
+    leak of the squeezed vacuum into the top third of the basis.  No state is
+    built with it: it is the route the Fock columns are tested against.
     """
     r = _as_amplitude(r, "squeezing parameter", real=True).real
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
@@ -261,31 +271,18 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     lam, v = _spectrum(dim, "squeeze")
     s = (v * np.exp(-1j * r * lam)) @ v.conj().T
-    block = 2 * dim // 3
-    _check_truncation(f"the unitarity defect of S({r}) on the lower 2/3",
-                      float(np.max(np.abs((s.conj().T @ s - np.eye(dim))[:block, :block]))),
-                      _UNITARITY_TOL, cutoff)
     _check_truncation(f"the leak of S({r})|0> into the top third",
-                      float(np.sum(np.abs(s[block:, 0]) ** 2)), _SQUEEZE_TAIL_TOL, cutoff)
+                      float(np.sum(np.abs(s[2 * dim // 3:, 0]) ** 2)), _SQUEEZE_TAIL_TOL, cutoff)
     return s
 
 
-def _squeezed_frame(alphas, r: float):
-    """Amplitudes g' with D(g) S(r) = S(r) D(g'): Re g' = Re g e^{-r}, Im g' = Im g e^{r}.
-
-    So D(g) S(r)|0> is the coherent vector of g' with S(r) applied on top.
-    """
-    return alphas.real * math.exp(-r) + 1j * alphas.imag * math.exp(r)
-
-
 def squeezed_fock_vector(alpha, r: float, cutoff: int) -> FockVector:
-    """Displaced squeezed state D(alpha) S(r) |0> on the truncated basis."""
+    """Displaced squeezed state D(alpha) S(r) |0> on the truncated basis, exact entry by entry."""
     alpha = _as_amplitude(alpha)
     r = _as_amplitude(r, "squeezing parameter", real=True).real
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    s = squeeze_fock_matrix(r, cutoff)  # first: it rejects an r the frame cannot hold
-    amp = s @ _coherent_batch(_squeezed_frame(alpha, r), cutoff)[:, 0]
-    _check_truncation(f"the norm lost by D({alpha:.3f}) S({r})|0>",
+    amp = _fock_columns(alpha, r, cutoff)[:, 0]
+    _check_truncation(f"the norm lost by D({alpha:.3g}) S({r})|0>",
                       1.0 - float(np.vdot(amp, amp).real), DEFAULT_EPS_TRUNC, cutoff)
     return FockVector(cutoff, amp)
 
@@ -298,7 +295,7 @@ def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
 def _kept_nodes(weights: np.ndarray) -> np.ndarray:
     """Mask of the nodes to sum: all but the lightest, whose running sum is <= _DROPPED_MASS.
 
-    The weights are positive and every coherent entry has |c_m c_n| <= 1, so
+    The weights are positive and every entry of a unit column has |c_m c_n| <= 1, so
     no entry of the sum moves by more than _DROPPED_MASS.  The sort is
     stable, so the same nodes go for the same weights.
     """
@@ -323,29 +320,24 @@ def _projector_sum(
 ) -> np.ndarray:
     """The center's projector averaged over the grid's displacements of the noise.
 
-    With c_k the kept nodes' coherent columns in the squeezed frame, scaled
-    by sqrt(w_k), and B = [Re c; Im c], sum_k w_k c_k c_k^dag is
-    (G_rr + G_ii) + i (G_ir - G_ri) for G = B B^T.  Chunked so arbitrarily
-    long node lists keep a flat memory profile; the accumulation order is
-    fixed, keeping results reproducible.
+    With c_k the kept nodes' columns D(a_k) S(r)|0>, scaled by sqrt(w_k), and
+    B = [Re c; Im c], sum_k w_k c_k c_k^dag is (G_rr + G_ii) + i (G_ir - G_ri)
+    for G = B B^T.  Chunked so arbitrarily long node lists keep a flat memory
+    profile; the accumulation order is fixed, keeping results reproducible.
     """
-    # First: it rejects an r the frame cannot hold, and frees its d x d temporaries.
-    s = squeeze_fock_matrix(center.r, cutoff) if center.r else None
     bx, ux = grid.axis_nodes(noise.var_x)
     bp, up = grid.axis_nodes(noise.var_p)
     keep = _kept_mask(grid.nodes_per_axis, ux.size, up.size)
-    alphas = _squeezed_frame((center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()[keep],
-                             center.r)
+    alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()[keep]
     roots = np.sqrt(np.outer(ux, up).ravel()[keep])
     d = cutoff + 1
     gram = np.zeros((2 * d, 2 * d))
     for start in range(0, alphas.size, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        cols = _coherent_batch(alphas[chunk], cutoff, roots[chunk])
+        cols = _fock_columns(alphas[chunk], center.r, cutoff, roots[chunk])
         block = np.concatenate((cols.real, cols.imag))
         gram += block @ block.T
-    rho = (gram[:d, :d] + gram[d:, d:]) + 1j * (gram[d:, :d] - gram[:d, d:])
-    return rho if s is None else s @ rho @ s.conj().T
+    return (gram[:d, :d] + gram[d:, d:]) + 1j * (gram[d:, :d] - gram[:d, d:])
 
 
 def mixture_density_matrix(

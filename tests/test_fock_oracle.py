@@ -57,6 +57,12 @@ class TestTruncationVerdict:
         with pytest.raises(TruncationError, match=truncated("the norm lost")):
             fock_oracle._check_truncation("the norm lost", value, 1e-10, 8)
 
+    def test_a_huge_amplitude_is_named_in_a_short_message(self):
+        message = truncated(r"the norm lost by D\(\S+\) S\(0\.0\)\|0>")
+        with pytest.raises(TruncationError, match=message) as error:
+            coherent_fock_vector(8.988465674311579e+307 + 8.98846567431158e+307j, 32)
+        assert len(str(error.value)) <= 150
+
 
 class TestCoherentFockVector:
     def test_vacuum(self):
@@ -76,7 +82,7 @@ class TestCoherentFockVector:
         assert abs(observed - n_bar) < 1e-10
 
     def test_insufficient_cutoff(self):
-        with pytest.raises(TruncationError, match=truncated(r"the norm lost by D\(4\.000.*\)\|0>")):
+        with pytest.raises(TruncationError, match=truncated(r"the norm lost by D\(4\+0j\) S\(0\.0\)\|0>")):
             coherent_fock_vector(4, 8)
 
     def test_amplitudes_are_immutable(self):
@@ -124,10 +130,13 @@ class TestDefaultCutoff:
     @pytest.mark.parametrize("center, noise", [
         (SqueezedState(2, -0.5), NoiseCovariance(0, 0)),
         (SqueezedState(-2j, 1.2), NoiseCovariance(0.3, 0.3)),
+        (SqueezedState(0, 1.2), NoiseCovariance(1, 1)),
+        (SqueezedState(0, -1.2), NoiseCovariance(1, 1)),
     ])
     def test_builds_displaced_squeezed_centers(self, center, noise):
         rho = mixture_density_matrix(GaussianMixtureState(center, noise))
         assert rho.cutoff == default_cutoff(center, noise)
+        assert rho.trace() >= 1 - fock_oracle.DEFAULT_EPS_TRUNC
 
     def test_clamps_high(self):
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
@@ -390,6 +399,24 @@ def _shift_operator(dim, axis, b):
     return (v * np.exp(sign * 1j * b * lam)) @ v.conj().T
 
 
+def _padded_squeezed_vector(alpha, r, cutoff):
+    """D(alpha) S(r)|0>, up to a global phase, from S(r) and the two shifts on a
+    basis three times as large, cut to the cutoff.
+
+    The real shift is the imaginary one turned by a quarter, D(b) = R^dag D(i b) R
+    with R = diag(i^n), so the one real eigh of the p generator serves both.
+    """
+    dim = 3 * (cutoff + 1)
+    lam, v = fock_oracle._spectrum(dim, "p")
+    turn = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+
+    def shift(b, vec):  # D(i b) vec
+        return v @ (np.exp(1j * b * lam) * (v.T @ vec))
+
+    vec = shift(alpha.imag, squeeze_fock_matrix(r, dim - 1)[:, 0])
+    return (turn.conj() * shift(alpha.real, turn * vec))[: cutoff + 1]
+
+
 def _dense_shift_channel(rho, axis, variance, grid, adjoint=True):
     """sum_j w_j D(b_j) rho D(b_j)^dag, one dense shift operator per node.
 
@@ -429,23 +456,20 @@ class TestSqueezing:
                            match=truncated(r"the leak of S\(1\.5\)\|0> into the top third")):
             squeeze_fock_matrix(1.5, 32)
 
-    def test_rejects_a_squeeze_matrix_that_is_not_unitary(self, monkeypatch):
-        # V exp(-i r lam) V^dag is unitary to rounding, so only a spoiled V reaches this verdict
-        spectrum = fock_oracle._spectrum
-
-        def spoiled(dim, generator):
-            lam, v = spectrum(dim, generator)
-            return lam, 1.001 * v
-
-        monkeypatch.setattr(fock_oracle, "_spectrum", spoiled)
-        with pytest.raises(TruncationError,
-                           match=truncated(r"the unitarity defect of S\(0\.5\) on the lower 2/3")):
-            squeeze_fock_matrix(0.5, 40)
-
     def test_squeezed_vector_matches_matrix_route(self):
         vec = squeezed_fock_vector(0, 0.5, 40)
-        s = squeeze_fock_matrix(0.5, 40)
-        assert np.allclose(vec.amplitudes, s[:, 0], atol=1e-12)
+        # S(r) on a basis three times as large, so its truncation edge is far from the block
+        s = squeeze_fock_matrix(0.5, 3 * 41 - 1)
+        assert np.max(np.abs(vec.amplitudes - s[:41, 0])) <= 1e-14
+
+    @pytest.mark.parametrize("alpha, r", [(2 - 1j, 1.5), (1 - 2j, -1.2), (0.3 + 0.2j, -0.35)])
+    def test_squeezed_vector_at_its_default_cutoff_is_exact(self, alpha, r):
+        cutoff = default_cutoff(SqueezedState(alpha, r))
+        vec = squeezed_fock_vector(alpha, r, cutoff).amplitudes
+        want = _padded_squeezed_vector(alpha, r, cutoff)
+        k = np.argmax(np.abs(want))
+        phase = vec[k] / want[k] / abs(vec[k] / want[k])
+        assert np.max(np.abs(vec - phase * want)) <= 1e-14
 
     def test_matched_squeezed_cloner_fidelity(self):
         spec = squeezed_variant(1, 2, 0.5)
@@ -555,42 +579,54 @@ class TestConvergence:
 def _reference_projector_sum(center, noise, grid, cutoff):
     """Every node of the tensor grid, summed as one complex product of rows.
 
-    Each row is D(alpha) S(r)|0>: the coherent row of the squeezed-frame
-    amplitude from c_n = c_{n-1} alpha/sqrt(n), times S(r)^T.
+    Each row is D(alpha) S(r)|0> = S(r) D(alpha')|0>: the coherent row of the
+    squeezed-frame amplitude alpha' from c_n = c_{n-1} alpha'/sqrt(n), times
+    S(r)^T, both on a basis three times as large and then cut to the cutoff.
     """
     bx, ux = grid.axis_nodes(noise.var_x)
     bp, up = grid.axis_nodes(noise.var_p)
     alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()
     w = np.outer(ux, up).ravel()[:, None]
     frame = alphas.real * math.exp(-center.r) + 1j * alphas.imag * math.exp(center.r)
-    rows = np.zeros((alphas.size, cutoff + 1), dtype=complex)
+    dim = 3 * (cutoff + 1)
+    rows = np.zeros((alphas.size, dim), dtype=complex)
     rows[:, 0] = np.exp(-0.5 * np.abs(frame) ** 2)
-    for n in range(1, cutoff + 1):
+    for n in range(1, dim):
         rows[:, n] = rows[:, n - 1] * frame / math.sqrt(n)
-    rows = rows @ squeeze_fock_matrix(center.r, cutoff).T
+    rows = (rows @ squeeze_fock_matrix(center.r, dim - 1).T)[:, : cutoff + 1]
     return (w * rows).T @ rows.conj()
 
 
 class TestProjectorSum:
-    @pytest.mark.parametrize("center, noise, nodes", [
-        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 41),
-        (CoherentState(2 - 1j), NoiseCovariance(1.359, 0.184), 41),
-        (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise, 41),
-        (SqueezedState(0.5 - 1j, -0.35), squeezed_variant(2, 3, -0.35).noise, 41),
-        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 82),
+    @pytest.mark.parametrize("center, noise, nodes, tolerance", [
+        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 41, 1e-15),
+        (CoherentState(2 - 1j), NoiseCovariance(1.359, 0.184), 41, 1e-15),
+        (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise, 41, 1e-14),
+        (SqueezedState(0.5 - 1j, -0.35), squeezed_variant(2, 3, -0.35).noise, 41, 1e-14),
+        (CoherentState(0j), NoiseCovariance(0.5, 0.5), 82, 1e-15),
     ], ids=["vacuum", "anisotropic", "squeezed r=0.5", "squeezed r=-0.35", "82 nodes"])
-    def test_matches_the_full_complex_sum(self, center, noise, nodes):
+    def test_matches_the_full_complex_sum(self, center, noise, nodes, tolerance):
+        # a squeezed row passes through S(r) on the padded basis, a sum of up to 3 d terms
         grid = QuadratureGrid(nodes)
         cutoff = default_cutoff(center, noise)
         got = fock_oracle._projector_sum(center, noise, grid, cutoff)
         want = _reference_projector_sum(center, noise, grid, cutoff)
-        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(got - want)) <= tolerance
 
     @pytest.mark.parametrize("alpha, var_x, var_p", [
         (0, 0, 0), (1 + 1j, 0, 0), (0, 0.5, 0.5), (2 - 1j, 1.359, 0.184), (1j, 0.3, 0), (-1, 0, 0.7),
     ])
     def test_coherent_mixture_is_hermitian_to_the_bit(self, alpha, var_x, var_p):
         rho = mixture_density_matrix(make_mixture(alpha, var_x, var_p))
+        assert rho.hermiticity_defect() == 0.0
+
+    @pytest.mark.parametrize("center, noise", [
+        (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise),
+        (SqueezedState(-2j, 1.2), NoiseCovariance(0.3, 0.3)),
+    ])
+    def test_squeezed_mixture_is_hermitian_to_the_bit(self, center, noise):
+        # squeezed columns enter the one symmetric product as coherent ones do
+        rho = mixture_density_matrix(GaussianMixtureState(center, noise))
         assert rho.hermiticity_defect() == 0.0
 
     @pytest.mark.parametrize("nodes", [2, 3, 41, 82, 200])
@@ -617,7 +653,7 @@ class TestProjectorSum:
         assert not cached.flags.writeable
 
     @pytest.mark.parametrize("r", [0.5, -0.35])
-    def test_squeezing_once_matches_displaced_squeezed_rows(self, r):
+    def test_squeezed_columns_match_displaced_squeezed_rows(self, r):
         center, noise, grid = SqueezedState(1 - 0.5j, r), NoiseCovariance(0.4, 0.2), QuadratureGrid(3)
         # Doubled, so the edge of the truncated S(r) sits where the state is negligible.
         cutoff = 2 * default_cutoff(center, noise)

@@ -157,6 +157,8 @@ def returns_finite_or_raises_sgclone_error(fn, args):
 @example(call=(simulate_heterodyne_estimate, (1e308, 1, 8, 42)))
 @example(call=(simulate_heterodyne_estimate, (0, 10**400, 2, 0)))
 @example(call=(coherent_fock_vector, (8.988465674311579e+307 + 8.98846567431158e+307j, 32)))
+@example(call=(squeezed_fock_vector, (1e200, 1.0, 32)))
+@example(call=(squeezed_fock_vector, (1.7e308 + 1.7e308j, -1.5, 32)))
 @given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):
     returns_finite_or_raises_sgclone_error(*call)

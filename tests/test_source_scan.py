@@ -17,8 +17,11 @@ draw numbers or build arrays, so their bounds and argument checks load none.
 Every value class derives from ``quadrature_core._Value``, so no module imports
 ``dataclasses``, in a function body or not, and no class is a ``@dataclass``.
 ``fock_oracle._check_truncation`` is the one verdict on what the cutoff loses:
-the three truncation limits are only its arguments, and it alone raises
-``TruncationError``, but for the |r| <= MAX_SQUEEZING argument range.
+the two truncation limits are only its arguments, and it alone raises
+``TruncationError``, but for the |r| <= MAX_SQUEEZING argument range.  Every
+Fock column comes from ``fock_oracle._fock_columns``: no function calls
+``squeeze_fock_matrix``, the route the columns are tested against, and the
+squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.
 """
 
 import ast
@@ -131,7 +134,7 @@ def test_no_module_imports_dataclasses():
 
 
 #: The limits that a loss to the cutoff is judged against.
-TRUNCATION_LIMITS = {"DEFAULT_EPS_TRUNC", "_UNITARITY_TOL", "_SQUEEZE_TAIL_TOL"}
+TRUNCATION_LIMITS = {"DEFAULT_EPS_TRUNC", "_SQUEEZE_TAIL_TOL"}
 
 
 def test_fock_oracle_has_one_truncation_verdict():
@@ -158,4 +161,19 @@ def test_fock_oracle_has_one_truncation_verdict():
     raises = [owner(node) for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and "TruncationError" in ast.unparse(node.exc)]
     assert sorted(raises) == [("_check_truncation", "not value <= limit"),
+                              ("_fock_columns", "abs(r) > MAX_SQUEEZING"),
                               ("squeeze_fock_matrix", "abs(r) > MAX_SQUEEZING")]
+
+
+def test_one_route_builds_the_fock_columns():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "fock_oracle.py" in sources
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "squeeze_fock_matrix" in (getattr(node.func, attr, None) for attr in ("id", "attr"))
+    ]
+    assert calls == []
+    assert [path.name for path in sources if "_squeezed_frame" in path.read_text()] == []
