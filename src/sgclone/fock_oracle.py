@@ -6,9 +6,9 @@ three-term recurrence in the number basis, exact entry by entry (a coherent
 vector is the r = 0 column), mixtures by Gauss-Hermite integration over the
 displacement distribution, moments read off three diagonals of rho, homodyne
 pmfs of x and p on a grid of bins (what the Monte Carlo simulations draw
-from), and the cascade channel's displacements by the exponential of a
-Hermitian generator, exp(-i t H) = V exp(-i t lam) V^dag from one cached eigh
-of H.
+from), and the cascade channel's displacements from one cached real eigh of
+the p-shift generator H = a^dag + a, D(i b) = V exp(i b lam) V^T; a real shift
+is that one turned by a quarter, D(b) = R^dag D(i b) R with R = diag(i^n).
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -52,6 +52,9 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SGCloneError, TruncationError
 from .quadrature_core import (
+    CUTOFF_LIMIT,
+    DEFAULT_NODES,
+    NODES_LIMIT,
     GaussianMixtureState,
     NoiseCovariance,
     SqueezedState,
@@ -66,16 +69,10 @@ from .quadrature_core import (
     add_noise,
 )
 
-DEFAULT_NODES = 41
 #: Largest norm or trace a state may lose to the cutoff.
 DEFAULT_EPS_TRUNC = 1e-8
 CUTOFF_MAX = 256
-#: Largest cutoff an array-building function accepts, and largest node count
-#: per axis of a grid: numpy's hermgauss warns of an overflow from 371 nodes on
-#: and gives NaN weights from 372.
-CUTOFF_LIMIT = 1024
-NODES_LIMIT = 370
-#: Declared range of the squeezing r of a built state and of the squeeze operator.
+#: Bounds |r| alone; CUTOFF_MAX decides when a displaced or noisy centre needs more.
 MAX_SQUEEZING = 1.5
 
 #: Physicality floors: the largest hermiticity defect (also the trace or norm
@@ -85,7 +82,6 @@ _EIGENVALUE_FLOOR = -1e-10
 _SQUEEZE_TAIL_TOL = 1e-5
 #: Trace a state may hold above its default cutoff.
 _TAIL_EPS = 1e-12
-_CHUNK = 65536
 #: Largest total weight of the grid nodes a projector sum may skip.
 _DROPPED_MASS = 1e-18
 #: The cascade channel runs in a basis this many times the cutoff block, so
@@ -103,10 +99,9 @@ def _hermgauss(n: int):
     return t, w
 
 
-# Hermitian generators: D(b) = exp(-i b H_x) shifts the amplitude by a real
-# b, D(i b) = exp(+i b H_p) by an imaginary i b, and S(r) = exp(-i r H_squeeze).
+# Hermitian generators: D(i b) = exp(+i b H_p) shifts the amplitude by an
+# imaginary i b, and S(r) = exp(-i r H_squeeze).
 _GENERATORS = {
-    "x": lambda a: 1j * (a.T - a),
     "p": lambda a: a.T + a,
     "squeeze": lambda a: 0.5j * (a.T @ a.T - a @ a),
 }
@@ -119,6 +114,12 @@ def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
     lam.setflags(write=False)
     v.setflags(write=False)
     return lam, v
+
+
+def _quarter_turn(rho: np.ndarray, k: int) -> np.ndarray:
+    """R^k rho R^-k for R = diag(i^n): entry (m, n) times i^(k (m - n)), exact."""
+    n = np.arange(rho.shape[0])
+    return rho * np.array([1, 1j, -1, -1j])[(k * (n[:, None] - n)) % 4]
 
 
 class QuadratureGrid(_Value):
@@ -322,8 +323,7 @@ def _projector_sum(
 
     With c_k the kept nodes' columns D(a_k) S(r)|0>, scaled by sqrt(w_k), and
     B = [Re c; Im c], sum_k w_k c_k c_k^dag is (G_rr + G_ii) + i (G_ir - G_ri)
-    for G = B B^T.  Chunked so arbitrarily long node lists keep a flat memory
-    profile; the accumulation order is fixed, keeping results reproducible.
+    for G = B B^T.  B is one block: the largest grid keeps 9636 nodes.
     """
     bx, ux = grid.axis_nodes(noise.var_x)
     bp, up = grid.axis_nodes(noise.var_p)
@@ -331,12 +331,9 @@ def _projector_sum(
     alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()[keep]
     roots = np.sqrt(np.outer(ux, up).ravel()[keep])
     d = cutoff + 1
-    gram = np.zeros((2 * d, 2 * d))
-    for start in range(0, alphas.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        cols = _fock_columns(alphas[chunk], center.r, cutoff, roots[chunk])
-        block = np.concatenate((cols.real, cols.imag))
-        gram += block @ block.T
+    cols = _fock_columns(alphas, center.r, cutoff, roots)
+    block = np.concatenate((cols.real, cols.imag))
+    gram = block @ block.T
     return (gram[:d, :d] + gram[d:, d:]) + 1j * (gram[d:, :d] - gram[:d, d:])
 
 
@@ -380,32 +377,22 @@ def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
 def _shift_channel(rho: np.ndarray, axis: str, variance, grid: QuadratureGrid) -> np.ndarray:
     """Average D(b) rho D(b)^dag over the Gauss-Hermite shifts b of one axis.
 
-    In the eigenbasis of the axis generator every shift is diagonal, so the
+    In the real eigenbasis of H_p every shift D(i b) is diagonal, so the p
     average is the Hadamard product of rho with
-    K_mn = sum_j w_j exp(-+i b_j (lam_m - lam_n)), a rank-nodes matrix.
-    A zero variance leaves rho untouched.
+    K_mn = sum_j w_j exp(i b_j (lam_m - lam_n)), a rank-nodes matrix.  The x
+    average is the p average of rho turned by R = diag(i^n), turned back, as
+    D(b) = R^dag D(i b) R.  A zero variance leaves rho untouched.
     """
     if variance == 0:
         return rho
-    lam, v = _spectrum(rho.shape[0], axis)
+    lam, v = _spectrum(rho.shape[0], "p")
     offsets, weights = grid.axis_nodes(variance)
-    sign = -1.0 if axis == "x" else 1.0
-    phases = np.exp(sign * 1j * np.outer(lam, offsets))
+    phases = np.exp(1j * np.outer(lam, offsets))
     kernel = (phases * weights) @ phases.conj().T
-    return v @ ((v.conj().T @ rho @ v) * kernel) @ v.conj().T
-
-
-def _cascaded_density(
-    center: SqueezedState,
-    noise_first: NoiseCovariance,
-    noise_second: NoiseCovariance,
-    dim: int,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """The first mixture on dim number states, then the second noise as a channel."""
-    rho = _projector_sum(center, noise_first, grid, dim - 1)
-    rho = _shift_channel(rho, "x", noise_second.var_x, grid)
-    return _shift_channel(rho, "p", noise_second.var_p, grid)
+    if axis == "x":
+        rho = _quarter_turn(rho, 1)
+    out = v @ ((v.T @ rho @ v) * kernel) @ v.T
+    return _quarter_turn(out, -1) if axis == "x" else out
 
 
 def cascade_density_check(
@@ -419,8 +406,8 @@ def cascade_density_check(
 
     Route one builds the first mixture's rho, then applies the second noise
     as an operator channel on it: the average of D(b) rho D(b)^dag over the
-    x-shifts, then over the p-shifts, each shift taken from the spectrum of
-    its Hermitian generator.  Route two builds a single mixture with the
+    x-shifts, then over the p-shifts, both read off the one real spectrum of
+    the p generator (_shift_channel).  Route two builds a single mixture with the
     componentwise noise sum.  Both live in a basis of _PADDING * (cutoff + 1)
     states and are compared on the leading (cutoff + 1)^2 block.  Agreement
     certifies that cascaded cloners convolve, i.e. variances add; a channel
@@ -437,7 +424,9 @@ def cascade_density_check(
 
     d = cutoff + 1
     dim = _PADDING * d
-    rho_cascaded = _cascaded_density(center, noise_first, noise_second, dim, grid)
+    rho_cascaded = _projector_sum(center, noise_first, grid, dim - 1)
+    rho_cascaded = _shift_channel(rho_cascaded, "x", noise_second.var_x, grid)
+    rho_cascaded = _shift_channel(rho_cascaded, "p", noise_second.var_p, grid)
     rho_summed = _projector_sum(center, total, grid, dim - 1)[:d, :d]
     _check_truncation("the trace lost by the summed mixture",
                       1.0 - float(np.trace(rho_summed).real), DEFAULT_EPS_TRUNC, cutoff)
@@ -489,8 +478,7 @@ def _homodyne_pmfs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarr
     psi[1] = math.sqrt(2.0) * t * psi[0]
     for n in range(1, d - 1):
         psi[n + 1] = math.sqrt(2 / (n + 1)) * t * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
-    k = np.arange(d)
-    rotated = rho.matrix * np.array([1, -1j, -1, 1j])[(k[:, None] - k) % 4]
+    rotated = _quarter_turn(rho.matrix, -1)
     h = t[1] - t[0]
     pmfs = [h * np.einsum("nk,nk->k", psi, m.real @ psi) for m in (rho.matrix, rotated)]
     for quadrature, pmf in zip("xp", pmfs):

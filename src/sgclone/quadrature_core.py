@@ -42,6 +42,11 @@ from .errors import DomainError
 #: preserved wherever the inputs allow it.
 Scalar = Union[int, float, Fraction]
 
+#: Fock-oracle sizes, numpy-free for verify_fock; hermgauss gives NaN weights from 372 nodes.
+DEFAULT_NODES = 41
+NODES_LIMIT = 370
+CUTOFF_LIMIT = 1024
+
 
 def _check_int(name: str, value, minimum: int, error=DomainError, maximum=math.inf) -> None:
     """An ``int`` (not a bool) in [minimum, maximum], else ``error``."""

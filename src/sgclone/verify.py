@@ -178,10 +178,9 @@ def _oracle_fidelity(mixture: GaussianMixtureState, grid: QuadratureGrid, cutoff
     return fidelity_against(squeezed_fock_vector(center.alpha, center.r, rho.cutoff), rho), rho
 
 
-# nodes is fock_oracle.DEFAULT_NODES, written out to load no numpy; a test pins the two equal.
 def verify_fock(
     tolerance: float = 1e-5,
-    nodes: int = 41,
+    nodes: int = quadrature_core.DEFAULT_NODES,
     cutoff: int | None = None,
 ) -> VerificationReport:
     """Truncated-Fock oracle against the closed-form layer.
@@ -192,15 +191,15 @@ def verify_fock(
     no check could fail, is rejected.
     """
     tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
+    # The convergence check doubles nodes and cutoff: reject a double beyond
+    # its limit before the first mixture is built.
+    quadrature_core._check_int("nodes", nodes, 2, maximum=quadrature_core.NODES_LIMIT // 2)
+    if cutoff is not None:
+        quadrature_core._check_int("cutoff", cutoff, 1, maximum=quadrature_core.CUTOFF_LIMIT // 2)
     from . import fock_oracle
 
     report = VerificationReport()
     add = report.checks.append
-    # The convergence check doubles nodes and cutoff: reject a double beyond
-    # its limit before the first mixture is built.
-    quadrature_core._check_int("nodes", nodes, 2, maximum=fock_oracle.NODES_LIMIT // 2)
-    if cutoff is not None:
-        quadrature_core._check_int("cutoff", cutoff, 1, maximum=fock_oracle.CUTOFF_LIMIT // 2)
     grid = fock_oracle.QuadratureGrid(nodes)
 
     scenarios = list(ORACLE_SCENARIOS) + [(1, UNBOUNDED)]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -140,6 +141,15 @@ class TestDefaultCutoff:
 
     def test_clamps_high(self):
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
+
+    def test_a_squeezed_centre_past_the_cap_takes_an_explicit_cutoff(self):
+        # The README's example: |r| = 1.5 is in range, but at the cap of 256 the
+        # mixture loses 1.5e-8 of its trace; 272 keeps all but about 4.5e-9.
+        mixture = GaussianMixtureState(SqueezedState(3, 1.5), NoiseCovariance(1, 1))
+        assert default_cutoff(mixture.center, mixture.noise) == fock_oracle.CUTOFF_MAX == 256
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
+            mixture_density_matrix(mixture)
+        assert abs(1 - mixture_density_matrix(mixture, cutoff=272).trace()) <= 1e-8
 
     @pytest.mark.parametrize("center, noise", [
         (CoherentState(1e200), NoiseCovariance(0, 0)),
@@ -360,7 +370,10 @@ class TestCascadeDensityCheck:
         half = NoiseCovariance(0.5, 0.5)
         cutoff = default_cutoff(CoherentState(0), add_noise(half, half))
         d = cutoff + 1
-        rho = fock_oracle._cascaded_density(CoherentState(0), half, half, 2 * d, QuadratureGrid())[:d, :d]
+        grid = QuadratureGrid()
+        rho = fock_oracle._projector_sum(CoherentState(0), half, grid, 2 * d - 1)
+        rho = fock_oracle._shift_channel(rho, "x", half.var_x, grid)
+        rho = fock_oracle._shift_channel(rho, "p", half.var_p, grid)[:d, :d]
         nbar = 1.0
         thermal = np.diag(nbar ** np.arange(d) / (nbar + 1) ** np.arange(1, d + 1))
         assert np.max(np.abs(rho - thermal)) < 1e-10
@@ -392,11 +405,24 @@ class TestCascadeDensityCheck:
         assert abs(cascade_density_check(CoherentState(0), half, half) - base) < 1e-12
 
 
+@functools.lru_cache(maxsize=8)
+def _x_spectrum(dim):
+    """Eigenpairs of H_x = i(a^dag - a) on dim number states, by a complex eigh."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    return np.linalg.eigh(1j * (a.T - a))
+
+
 def _shift_operator(dim, axis, b):
-    """D(b) for axis x, D(i b) for axis p, from the generator's spectrum."""
-    lam, v = fock_oracle._spectrum(dim, axis)
-    sign = -1.0 if axis == "x" else 1.0
-    return (v * np.exp(sign * 1j * b * lam)) @ v.conj().T
+    """D(b) = exp(-i b H_x) for axis x, and D(i b) = exp(i b H_p) for axis p.
+
+    The x shift comes from its own generator, not from the p spectrum turned
+    by a quarter as in the oracle, so the two routes stay independent.
+    """
+    if axis == "x":
+        lam, v = _x_spectrum(dim)
+        return (v * np.exp(-1j * b * lam)) @ v.conj().T
+    lam, v = fock_oracle._spectrum(dim, "p")
+    return (v * np.exp(1j * b * lam)) @ v.T
 
 
 def _padded_squeezed_vector(alpha, r, cutoff):
@@ -643,6 +669,10 @@ class TestProjectorSum:
     def test_kept_node_counts(self, nodes, kept):
         _, w = QuadratureGrid(nodes).axis_nodes(1.0)
         assert fock_oracle._kept_nodes(np.outer(w, w).ravel()).sum() == kept
+
+    def test_the_largest_grid_is_one_block(self):
+        # The width of B at NODES_LIMIT; a larger limit needs its memory looked at again.
+        assert fock_oracle._kept_mask(fock_oracle.NODES_LIMIT, 2, 2).sum() == 9636
 
     @pytest.mark.parametrize("var_x, var_p", [(0.7, 0.3), (0, 0.3), (0.7, 0), (0, 0)])
     def test_cached_mask_is_kept_nodes_of_the_weights(self, var_x, var_p):

@@ -61,6 +61,8 @@ COLD_COMMANDS = [
     (("verify-mc", "--seed", "-1", "--samples", "10"), 2),
     (("verify-mc", "--samples", "1"), 2),
     (("verify-fock", "--tolerance", "nan"), 2),
+    (("verify-fock", "--nodes", "186"), 2),
+    (("verify-fock", "--cutoff", "513"), 2),
 ]
 
 

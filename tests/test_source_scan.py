@@ -21,7 +21,11 @@ the two truncation limits are only its arguments, and it alone raises
 ``TruncationError``, but for the |r| <= MAX_SQUEEZING argument range.  Every
 Fock column comes from ``fock_oracle._fock_columns``: no function calls
 ``squeeze_fock_matrix``, the route the columns are tested against, and the
-squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.
+squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
+cascade channel reads one real spectrum, of the p generator, and turns rho by
+a quarter for x, so ``_GENERATORS`` has no "x" and the quarter-turn phase
+table is written once; ``_projector_sum`` is one block with no loop, and the
+chunk size ``_CHUNK`` and the ``_cascaded_density`` helper are gone.
 """
 
 import ast
@@ -177,3 +181,34 @@ def test_one_route_builds_the_fock_columns():
     ]
     assert calls == []
     assert [path.name for path in sources if "_squeezed_frame" in path.read_text()] == []
+
+
+def _oracle_definition(name: str):
+    """The module-level statement of ``fock_oracle.py`` that defines ``name``."""
+    tree = ast.parse((PACKAGE / "fock_oracle.py").read_text())
+    return next(node for node in tree.body if getattr(node, "name", None) == name or any(
+        getattr(target, "id", None) == name for target in getattr(node, "targets", ())))
+
+
+def test_cascade_shifts_read_one_spectrum():
+    keys = _oracle_definition("_GENERATORS").value.keys
+    assert [key.value for key in keys] == ["p", "squeeze"]
+
+
+def test_quarter_turn_table_is_written_once():
+    table = r"\[\s*1\s*,\s*-?1j\s*,\s*-1\s*,\s*-?1j\s*\]"
+    hits = [path.name for path in sorted(PACKAGE.glob("*.py"))
+            for _ in re.finditer(table, path.read_text())]
+    assert hits == ["fock_oracle.py"]
+
+
+def test_projector_sum_is_one_block():
+    loops = [ast.unparse(node) for node in ast.walk(_oracle_definition("_projector_sum"))
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []
+
+
+@pytest.mark.parametrize("name", ["_CHUNK", "_cascaded_density"])
+def test_removed_oracle_names_are_gone(name):
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if re.search(rf"\b{name}\b", path.read_text())] == []
