@@ -700,3 +700,58 @@ class TestProjectorSum:
                 want += u * v * np.outer(row, row.conj())
         got = fock_oracle._projector_sum(center, noise, grid, cutoff)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _divided_columns(alphas, r, cutoff, scale):
+    """The recurrence as a complex (cutoff+1, K) array, each row divided by sqrt(n)."""
+    t = -math.tanh(r)
+    alphas = np.asarray(alphas, dtype=complex)
+    exponent, b = -0.5 * np.abs(alphas) ** 2, alphas
+    if t:
+        exponent, b = exponent - 0.5 * t * alphas.conj() ** 2, alphas + t * alphas.conj()
+    out = np.empty((cutoff + 1, alphas.size), dtype=complex)
+    out[0] = scale / math.sqrt(math.cosh(r)) * np.exp(exponent)
+    for n in range(1, cutoff + 1):
+        out[n] = out[n - 1] * b
+        if t and n > 1:
+            out[n] -= t * math.sqrt(n - 1) * out[n - 2]
+        out[n] = out[n] / math.sqrt(n)
+    return out
+
+
+class TestFockColumns:
+    @pytest.mark.parametrize("alphas", [[1 - 1j], [1 - 1j, 0.5j, -2.0]], ids=["lone", "block"])
+    @pytest.mark.parametrize("cutoff", [1, 40])
+    def test_shape_is_the_real_block(self, alphas, cutoff):
+        block = fock_oracle._fock_columns(alphas, 0.5, cutoff)
+        assert block.shape == (2 * (cutoff + 1), len(alphas))
+        assert block.dtype == np.float64
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, -0.5, 1.5, -1.5])
+    @pytest.mark.parametrize("cutoff", [1, 2, 40, 255])
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "past the far cut"])
+    def test_lone_column_matches_the_block_path(self, r, cutoff, far):
+        # Python complex products round apart from numpy's loop, by an ulp or so.
+        a = 1.3 - 0.7j
+        if far:
+            a = 1.1 * 40 / math.sqrt(1 - math.tanh(abs(r))) * np.exp(0.3j)
+        lone = fock_oracle._fock_columns([a], r, cutoff)
+        block = fock_oracle._fock_columns([a, -0.4 + 2j], r, cutoff)
+        assert np.all(np.isfinite(lone))
+        assert np.max(np.abs(lone[:, 0] - block[:, 0])) <= 2e-15
+
+    @pytest.mark.parametrize("r", [0.0, 0.8, -1.2])
+    def test_block_matches_the_division_form(self, r):
+        rng = np.random.default_rng(27)
+        alphas = 2 * rng.standard_normal(30) + 2j * rng.standard_normal(30)
+        scale = rng.uniform(0.1, 1.0, 30)
+        want = _divided_columns(alphas, r, 120, scale)
+        got = fock_oracle._fock_columns(alphas, r, 120, scale)
+        assert np.max(np.abs(got - np.concatenate((want.real, want.imag)))) <= 1e-15
+
+    @pytest.mark.parametrize("center", [CoherentState(2j), SqueezedState(1 - 0.5j, 0.5)])
+    def test_zero_noise_mixture_is_the_outer_product_of_its_vector(self, center):
+        cutoff = default_cutoff(center)
+        rho = mixture_density_matrix(GaussianMixtureState(center, NoiseCovariance(0, 0)), cutoff)
+        vec = squeezed_fock_vector(center.alpha, center.r, cutoff).amplitudes
+        assert np.max(np.abs(rho.matrix - np.outer(vec, vec.conj()))) <= 1e-15

@@ -24,7 +24,8 @@ Fock column comes from ``fock_oracle._fock_columns``: no function calls
 squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
 cascade channel reads one real spectrum, of the p generator, and turns rho by
 a quarter for x, so ``_GENERATORS`` has no "x" and the quarter-turn phase
-table is written once; ``_projector_sum`` is one block with no loop, and the
+table is written once; ``_projector_sum`` is one block with no loop, which
+``_fock_columns`` writes row by row, so no ``concatenate`` stacks it, and the
 chunk size ``_CHUNK`` and the ``_cascaded_density`` helper are gone.
 """
 
@@ -212,3 +213,9 @@ def test_projector_sum_is_one_block():
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if re.search(rf"\b{name}\b", path.read_text())] == []
+
+
+def test_projector_sum_stacks_no_block():
+    calls = [ast.unparse(node) for node in ast.walk(_oracle_definition("_projector_sum"))
+             if isinstance(node, ast.Call) and "concatenate" in ast.unparse(node.func)]
+    assert calls == []
