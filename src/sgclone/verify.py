@@ -169,7 +169,9 @@ def verify_bounds() -> VerificationReport:
     return report
 
 
-def _oracle_fidelity(mixture: GaussianMixtureState, grid: QuadratureGrid, cutoff: int | None):
+def _oracle_fidelity(
+    mixture: GaussianMixtureState, grid: QuadratureGrid | None, cutoff: int | None
+):
     """The mixture's rho and its fidelity against the mixture's own center."""
     from .fock_oracle import fidelity_against, mixture_density_matrix, squeezed_fock_vector
 
@@ -180,7 +182,7 @@ def _oracle_fidelity(mixture: GaussianMixtureState, grid: QuadratureGrid, cutoff
 
 def verify_fock(
     tolerance: float = 1e-5,
-    nodes: int = quadrature_core.DEFAULT_NODES,
+    nodes: int | None = None,
     cutoff: int | None = None,
 ) -> VerificationReport:
     """Truncated-Fock oracle against the closed-form layer.
@@ -188,19 +190,22 @@ def verify_fock(
     ``tolerance`` gates the oracle-vs-closed-form fidelity checks; the
     physicality, moment, additivity and convergence tolerances are fixed.
     A negative tolerance fails its checks; a NaN or infinite one, which
-    no check could fail, is rejected.
+    no check could fail, is rejected.  ``nodes`` fixes one Gauss-Hermite
+    grid for every state; by default each state takes the grid its noise
+    needs (``fock_oracle._default_grid``), at most DEFAULT_NODES per axis.
     """
     tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
     # The convergence check doubles nodes and cutoff: reject a double beyond
     # its limit before the first mixture is built.
-    quadrature_core._check_int("nodes", nodes, 2, maximum=quadrature_core.NODES_LIMIT // 2)
+    if nodes is not None:
+        quadrature_core._check_int("nodes", nodes, 2, maximum=quadrature_core.NODES_LIMIT // 2)
     if cutoff is not None:
         quadrature_core._check_int("cutoff", cutoff, 1, maximum=quadrature_core.CUTOFF_LIMIT // 2)
     from . import fock_oracle
 
     report = VerificationReport()
     add = report.checks.append
-    grid = fock_oracle.QuadratureGrid(nodes)
+    grid = None if nodes is None else fock_oracle.QuadratureGrid(nodes)
 
     scenarios = list(ORACLE_SCENARIOS) + [(1, UNBOUNDED)]
     oracle = {
@@ -241,7 +246,8 @@ def verify_fock(
 
     f_base, base_rho = oracle[1, 2, 1 + 0j]
     ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
-    f_fine, _ = _oracle_fidelity(ref_mix, fock_oracle.QuadratureGrid(2 * nodes),
+    base_nodes = (grid or fock_oracle._default_grid(ref_mix.center, ref_mix.noise)).nodes_per_axis
+    f_fine, _ = _oracle_fidelity(ref_mix, fock_oracle.QuadratureGrid(2 * base_nodes),
                                  2 * base_rho.cutoff)
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 

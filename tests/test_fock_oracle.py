@@ -404,6 +404,34 @@ class TestCascadeDensityCheck:
         monkeypatch.setattr(fock_oracle, "_PADDING", 2 * fock_oracle._PADDING)
         assert abs(cascade_density_check(CoherentState(0), half, half) - base) < 1e-12
 
+    @pytest.mark.parametrize("center", [CoherentState(0), SqueezedState(1 - 1j, 0.5)])
+    def test_identity_second_stage_is_exact_on_the_default_grids(self, center):
+        # both routes are one build: the first noise and the sum take the same grid
+        half = NoiseCovariance(0.5, 0.5)
+        assert cascade_density_check(center, half, NoiseCovariance(0, 0)) == 0.0
+
+    def test_anisotropic_pair_on_the_default_grids(self):
+        assert cascade_density_check(*ANISOTROPIC_CASCADE) < 1e-6
+
+    @pytest.mark.parametrize("center, first, second", [
+        ANISOTROPIC_CASCADE,
+        SQUEEZED_CASCADE,
+        (CoherentState(0), NoiseCovariance(1.0, 1.0), NoiseCovariance(0.5, 0.5)),
+    ], ids=["anisotropic", "squeezed", "noisy"])
+    def test_first_mixture_at_the_cutoff_matches_its_padded_build(self, center, first, second):
+        # Route one drops the first mixture's entries above the cutoff before the
+        # channel; what the channel would carry back into the block is negligible.
+        cutoff = default_cutoff(center, add_noise(first, second))
+        d = cutoff + 1
+        grid = QuadratureGrid()
+        padded = fock_oracle._projector_sum(center, first, grid, fock_oracle._PADDING * d - 1)
+        at_cutoff = np.zeros_like(padded)
+        at_cutoff[:d, :d] = fock_oracle._projector_sum(center, first, grid, cutoff)
+        for axis, variance in (("x", second.var_x), ("p", second.var_p)):
+            padded = fock_oracle._shift_channel(padded, axis, variance, grid)
+            at_cutoff = fock_oracle._shift_channel(at_cutoff, axis, variance, grid)
+        assert np.max(np.abs(padded[:d, :d] - at_cutoff[:d, :d])) <= 1e-12
+
 
 @functools.lru_cache(maxsize=8)
 def _x_spectrum(dim):
@@ -700,6 +728,81 @@ class TestProjectorSum:
                 want += u * v * np.outer(row, row.conj())
         got = fock_oracle._projector_sum(center, noise, grid, cutoff)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+#: Coherent and squeezed centres, isotropic noise from 1e-4 to 1.5, anisotropic noise
+#: (one axis zero in two of them) and the squeezed variant's matched noise.
+DEFAULT_GRID_STATES = [
+    (CoherentState(0), NoiseCovariance(1e-4, 1e-4)),
+    (CoherentState(1 + 1j), NoiseCovariance(1e-2, 1e-2)),
+    (CoherentState(2 - 1j), NoiseCovariance(1 / 6, 1 / 6)),
+    (CoherentState(0), NoiseCovariance(0.25, 0.25)),
+    (CoherentState(1), NoiseCovariance(0.5, 0.5)),
+    (CoherentState(0.5j), NoiseCovariance(1.0, 1.0)),
+    (CoherentState(0), NoiseCovariance(1.5, 1.5)),
+    (SqueezedState(0.5j, 0.5), NoiseCovariance(1e-3, 1e-3)),
+    (SqueezedState(0.5j, 0.5), NoiseCovariance(0.1, 0.1)),
+    (SqueezedState(1, -0.8), NoiseCovariance(0.05, 0.05)),
+    (SqueezedState(0, 0.3), NoiseCovariance(0.3, 0.3)),
+    (SqueezedState(1 - 1j, -0.4), NoiseCovariance(0.6, 0.6)),
+    (SqueezedState(0, 1.2), NoiseCovariance(1e-2, 1e-2)),
+    (SqueezedState(0, -1.2), NoiseCovariance(0.1, 0.1)),
+    (SqueezedState(0.3, 0.9), NoiseCovariance(1.5, 1.5)),
+    (SqueezedState(0, 1.2), NoiseCovariance(0, 0.1)),
+    (CoherentState(1), NoiseCovariance(0.1, 0.7)),
+    (CoherentState(0), NoiseCovariance(1.5, 0.05)),
+    (CoherentState(1j), NoiseCovariance(0, 0.5)),
+    (SqueezedState(1j, 0.6), NoiseCovariance(0.02, 1.2)),
+    (SqueezedState(0, 0.5), squeezed_variant(1, 2, 0.5).noise),
+    (SqueezedState(1, -0.8), squeezed_variant(2, 3, -0.8).noise),
+    (SqueezedState(0, 1.2), squeezed_variant(3, 5, 1.2).noise),
+    (SqueezedState(1j, 0.25), squeezed_variant(1, 9, 0.25).noise),
+    (SqueezedState(0, -1.0), squeezed_variant(4, 5, -1.0).noise),
+]
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("center, noise", DEFAULT_GRID_STATES, ids=[
+        f"{c.alpha:g},r={c.r:g},V=({float(n.var_x):.3g},{float(n.var_p):.3g})"
+        for c, n in DEFAULT_GRID_STATES])
+    def test_is_as_close_to_101_nodes_as_the_full_grid(self, center, noise):
+        cutoff = default_cutoff(center, noise)
+        grid = fock_oracle._default_grid(center, noise)
+        assert grid.nodes_per_axis <= fock_oracle.DEFAULT_NODES
+        want = fock_oracle._projector_sum(center, noise, QuadratureGrid(101), cutoff)
+
+        def error(g):
+            return np.max(np.abs(fock_oracle._projector_sum(center, noise, g, cutoff) - want))
+
+        assert error(grid) <= max(2e-15, error(QuadratureGrid()))
+
+    @pytest.mark.parametrize("variance, nodes", [(1e-4, 4), (1 / 6, 19), (0.5, 33), (1.0, 41)])
+    def test_coherent_counts(self, variance, nodes):
+        # the fewest n with 0.5 (V / (V + 1))^n <= 1e-16
+        assert fock_oracle._default_grid(CoherentState(2j), NoiseCovariance(variance, variance)) \
+            == QuadratureGrid(nodes)
+
+    def test_a_squeezed_axis_takes_twice_its_variance(self):
+        # Q = e^{-2r} on the squeezed p axis, not its Husimi variance e^{-2r}/2 + 1/2:
+        # at r = 1.2 and noise 0.1 the 20 nodes the latter gives miss by about 1e-7.
+        assert fock_oracle._default_grid(SqueezedState(0, 1.2), NoiseCovariance(0, 0.1)) \
+            == QuadratureGrid()
+
+    @pytest.mark.parametrize("center, noise", [
+        (CoherentState(0), NoiseCovariance(0, 0)),
+        (SqueezedState(1, 0.5), NoiseCovariance(0, 0)),
+        (CoherentState(0), NoiseCovariance(1e308, 1e308)),
+        (SqueezedState(0, -1.5), NoiseCovariance(1e308, 0)),
+    ], ids=["zero", "zero squeezed", "1e308", "1e308 on x"])
+    def test_zero_and_float_limit_noise_take_the_default_nodes(self, center, noise):
+        assert fock_oracle._default_grid(center, noise) == QuadratureGrid()
+
+    def test_mixture_builds_on_it(self):
+        mix = make_mixture(1 - 1j, 1 / 6)
+        grid = fock_oracle._default_grid(mix.center, mix.noise)
+        assert grid != QuadratureGrid()
+        want = mixture_density_matrix(mix, grid=grid).matrix
+        assert np.array_equal(mixture_density_matrix(mix).matrix, want)
 
 
 def _divided_columns(alphas, r, cutoff, scale):

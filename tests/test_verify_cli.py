@@ -45,9 +45,28 @@ class TestVerifySuites:
         with pytest.raises(DomainError, match=rf"^{option} must .*, {limit // 2}\], got {given}$"):
             verify_fock(**{option: given})
 
-    def test_fock_suite_defaults_to_the_oracle_grid(self):
+    def test_fock_suite_defaults_to_the_oracle_grid(self, monkeypatch):
+        # None: each state resolves its own grid through _default_grid; given nodes fix one grid
         nodes = inspect.signature(verify_fock).parameters["nodes"].default
-        assert nodes == fock_oracle.DEFAULT_NODES
+        assert nodes is None
+        calls = []
+        default_grid = fock_oracle._default_grid
+
+        def counted(center, noise):
+            calls.append(noise)
+            return default_grid(center, noise)
+
+        monkeypatch.setattr(fock_oracle, "_default_grid", counted)
+        verify_fock(nodes=21)
+        assert calls == []
+        assert verify_fock().overall and calls
+
+    def test_a_second_fock_suite_adds_no_cache_misses(self):
+        caches = (fock_oracle._hermgauss, fock_oracle._kept_mask, fock_oracle._spectrum)
+        verify_fock()
+        misses = [cache.cache_info().misses for cache in caches]
+        verify_fock()
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
