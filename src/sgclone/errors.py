@@ -22,7 +22,7 @@ class InvalidClonerError(DomainError):
 
 
 class TruncationError(SGCloneError, ValueError):
-    """Fock-space cutoff too small for the requested state or operator."""
+    """Fock cutoff or default quadrature grid too small for the requested state or operator."""
 
 
 class DimensionError(SGCloneError, ValueError):

@@ -24,15 +24,16 @@ a coherent or stretched axis Q is the center's Husimi variance (1 for a
 coherent center); on a squeezed axis it is twice the center's variance,
 as the error there falls more slowly than the Husimi width says.  The
 default grid, _default_grid, takes the fewest nodes that bring 0.5 f^n
-under _GRID_EPS = 1e-16, at most DEFAULT_NODES = 41, so no mixture gets
-more nodes or less accuracy than on the 41-node grid: 19 for noise 1/6
+under _GRID_EPS = 1e-16, at most DEFAULT_NODES = 41: 19 for noise 1/6
 around a coherent center, 33 for noise 1/2 and all 41 from noise 1 on,
-where the 41-node rule misses by about 1e-13.  A degenerate axis
-(variance 0) collapses to a single node so pure limits are reproduced
-without quadrature error.  The lightest nodes, whose weights sum to at
-most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
-(955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of
-the 19-node grid).
+where the 41-node rule misses by about 1e-13.  Where 41 nodes leave 0.5 f^n
+above DEFAULT_EPS_TRUNC (a squeezed center under noise not squeezed with
+it) it takes the fewest up to NODES_LIMIT = 370 that bring it under.  A
+degenerate axis (variance 0) collapses to a single node so pure limits are
+reproduced without quadrature error.  The lightest nodes, whose weights sum
+to at most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
+(955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of the
+19-node grid).
 
 The sum is one real symmetric product: _fock_columns writes the columns
 D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im], and rho
@@ -42,15 +43,16 @@ with r = 0, and a pure state is the zero-noise mixture, the one-node rule.
 
 The default cutoff, ceil((|alpha| + sqrt(V ln(1/eps)))^2) with V the larger
 variance of the clone's total covariance, leaves about eps = 1e-12 of the
-trace above it, four decades under DEFAULT_EPS_TRUNC.
+trace above it, four decades under DEFAULT_EPS_TRUNC.  Past |r| = 14.7, where
+a column's floats fail, it raises DomainError; below, the verdicts decide.
 
-What the cutoff loses is judged in one place, _check_truncation, which
-raises TruncationError on a value above its limit or NaN.  It judges four
-quantities: the norm lost by a state vector, the trace lost by a mixture
-(and by the cascade check's summed mixture), each homodyne pmf's miss of
-trace(rho), all against DEFAULT_EPS_TRUNC; and the leak of the squeeze
-operator's S(r)|0> into the top third of its basis, against
-_SQUEEZE_TAIL_TOL.
+What the cutoff or the default grid loses is judged in one place,
+_check_truncation, which raises TruncationError on a value above its limit
+or NaN.  It judges five quantities: the norm lost by a state vector, the
+trace lost by a mixture (and by the cascade check's summed mixture), each
+homodyne pmf's miss of trace(rho), the default grid's 0.5 f^n, all against
+DEFAULT_EPS_TRUNC; and the leak of the squeeze operator's S(r)|0> into the
+top third of its basis, against _SQUEEZE_TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -76,15 +78,12 @@ from .quadrature_core import (
     _check_variance,
     _finite,
     _shown,
-    _squeezed,
     add_noise,
 )
 
 #: Largest norm or trace a state may lose to the cutoff.
 DEFAULT_EPS_TRUNC = 1e-8
 CUTOFF_MAX = 256
-#: Bounds |r| alone; CUTOFF_MAX decides when a displaced or noisy centre needs more.
-MAX_SQUEEZING = 1.5
 
 #: Physicality floors: the largest hermiticity defect (also the trace or norm
 #: excess over 1) and the lowest eigenvalue a density matrix may carry.
@@ -97,7 +96,7 @@ _TAIL_EPS = 1e-12
 _DROPPED_MASS = 1e-18
 #: Quadrature error the default grid aims at, the rounding floor of a unit trace.
 _GRID_EPS = 1e-16
-#: Every node count the default grid and its double can take, with room to spare.
+#: Node counts cached: the default grid and its double, but for rare squeezed mixtures.
 _GRID_CACHE = 2 * DEFAULT_NODES
 #: The cascade channel runs in a basis this many times the cutoff block, so
 #: the truncation edge of its shift operators stays far from that block.
@@ -141,7 +140,7 @@ class QuadratureGrid(_Value):
     """Tensor Gauss-Hermite grid matched to the Gaussian displacement weight.
 
     Without an argument it has DEFAULT_NODES per axis, the most that
-    _default_grid gives a mixture.
+    _default_grid gives a mixture whose error model reaches 1e-16 there.
     """
 
     __slots__ = ("nodes_per_axis",)
@@ -220,40 +219,38 @@ class DensityMatrix(_Value):
 def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = None) -> int:
     """Cutoff rule ceil((|alpha| + sqrt(V ln(1/_TAIL_EPS)))^2), at most CUTOFF_MAX.
 
-    V is the larger diagonal entry of the clone's total covariance: the
-    center's e^{+-2r}/2, |r| taken at most MAX_SQUEEZING, plus the noise on
-    that axis.  A thermal state of variance V holds about e^{-n/V} of its
+    V is the larger diagonal entry of the clone's total covariance: the center's e^{+-2r}/2
+    plus the noise on that axis.  A thermal state of variance V holds about e^{-n/V} of its
     trace above n; a displacement moves that reach out by |alpha| in sqrt(n).
     """
     _check_type("center", center, SqueezedState)
     noise = NoiseCovariance(0, 0) if noise is None else noise
     _check_type("noise", noise, NoiseCovariance)
-    vx, vp = _center_variances(center)
+    vx, vp = center.quadrature_variances()
     v = max(vx + float(noise.var_x), vp + float(noise.var_p))
     reach = math.hypot(center.alpha.real, center.alpha.imag) + math.sqrt(-v * math.log(_TAIL_EPS))
     return math.ceil(min(reach, math.sqrt(CUTOFF_MAX)) ** 2)
 
 
-def _center_variances(center: SqueezedState) -> tuple[float, float]:
-    """The center's quadrature variances e^{+-2r}/2, |r| taken at most MAX_SQUEEZING."""
-    return _squeezed(0.5, 0.5, max(-MAX_SQUEEZING, min(center.r, MAX_SQUEEZING)))
-
-
 def _default_grid(center: SqueezedState, noise: NoiseCovariance) -> QuadratureGrid:
     """The grid of the fewest nodes n, at most DEFAULT_NODES, with 0.5 f^n <= _GRID_EPS.
 
-    f is the larger over the axes of V / (V + Q), V the noise's variance and Q
-    the center's variance q plus min(q, 1/2); the n-node rule misses rho by
-    about 0.5 f^n.  Zero noise (f = 0) is the one-node rule whatever the
-    count, and noise so large that f rounds to 1 has no such n: both take
-    DEFAULT_NODES.
+    f is the larger over the axes of V / (V + Q), V the noise's variance and Q the center's
+    variance q plus min(q, 1/2); the n-node rule misses rho by about 0.5 f^n.  Past 41 nodes n
+    is the fewest up to NODES_LIMIT with 0.5 f^n <= DEFAULT_EPS_TRUNC, which _check_truncation
+    judges.  Zero noise (f = 0) is the one-node rule, and noise so large that f rounds to 1 has
+    no n: both take DEFAULT_NODES, and the cutoff's verdict judges the latter.
     """
     f = max(float(v) / (float(v) + q + min(q, 0.5))
-            for v, q in zip((noise.var_x, noise.var_p), _center_variances(center)))
+            for v, q in zip((noise.var_x, noise.var_p), center.quadrature_variances()))
     if not 0 < f < 1:
         return QuadratureGrid()
-    n = math.ceil(math.log(2 * _GRID_EPS) / math.log(f))
-    return QuadratureGrid(max(2, min(n, DEFAULT_NODES)))
+    fine, coarse = (math.ceil(math.log(2 * eps) / math.log(f))
+                    for eps in (_GRID_EPS, DEFAULT_EPS_TRUNC))
+    n = min(fine, max(coarse, DEFAULT_NODES), NODES_LIMIT)
+    _check_truncation("the quadrature error 0.5 f^n", 0.5 * f**n, DEFAULT_EPS_TRUNC, n,
+                      "node count")
+    return QuadratureGrid(max(2, n))
 
 
 def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
@@ -266,9 +263,10 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     each written into B as it is made; a lone column (K = 1) takes the same steps on
     Python complex numbers, which cost a tenth of one-element numpy calls.
     """
-    if abs(r) > MAX_SQUEEZING:
-        raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
     t = -math.tanh(r)
+    # Past |r| = 14.7 c_0's exponent at the far cut, of size 1600 / (1 - |t|), rounds by over 1
+    if 1.0 - abs(t) < 1600 * 2.0**-52:
+        raise DomainError(f"|r| <= 14.7 keeps a Fock column's floats sound, got r = {r:.6g}")
     alphas = np.array(alphas, dtype=complex, ndmin=1)
     radius = np.abs(alphas)
     # Re log c_0 = -(1+t) x^2/2 - (1-t) y^2/2 makes the column 0.0 in floats from
@@ -306,11 +304,11 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     return block
 
 
-def _check_truncation(what: str, value: float, limit: float, cutoff: int) -> None:
-    """The one verdict on a loss or defect the cutoff causes: above ``limit``, or NaN, it raises."""
+def _check_truncation(what: str, value: float, limit: float, size: int, of="cutoff") -> None:
+    """The one verdict on what a cutoff or node count loses: above ``limit``, or NaN, it raises."""
     if not value <= limit:
         raise TruncationError(
-            f"cutoff {cutoff} is too small: {what} is {value:.3e}, above its limit {limit:.1e}"
+            f"{of} {size} is too small: {what} is {value:.3e}, above its limit {limit:.1e}"
         )
 
 
@@ -325,13 +323,12 @@ def squeeze_fock_matrix(r: float, cutoff: int) -> np.ndarray:
     """
     r = _as_amplitude(r, "squeezing parameter", real=True).real
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    if abs(r) > MAX_SQUEEZING:
-        raise TruncationError(f"|r| <= {MAX_SQUEEZING} is the declared validity range, got {r}")
     dim = cutoff + 1
     if r == 0:
         return np.eye(dim, dtype=complex)
     lam, v = _spectrum(dim, "squeeze")
-    s = (v * np.exp(-1j * r * lam)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # a phase past the float range is NaN,
+        s = (v * np.exp(-1j * r * lam)) @ v.conj().T  # which the leak verdict rejects
     _check_truncation(f"the leak of S({r})|0> into the top third",
                       float(np.sum(np.abs(s[2 * dim // 3:, 0]) ** 2)), _SQUEEZE_TAIL_TOL, cutoff)
     return s

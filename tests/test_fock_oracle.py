@@ -143,8 +143,8 @@ class TestDefaultCutoff:
         assert default_cutoff(CoherentState(12), NoiseCovariance(4, 4)) == 256
 
     def test_a_squeezed_centre_past_the_cap_takes_an_explicit_cutoff(self):
-        # The README's example: |r| = 1.5 is in range, but at the cap of 256 the
-        # mixture loses 1.5e-8 of its trace; 272 keeps all but about 4.5e-9.
+        # The README's example: at the cap of 256 the mixture loses 1.5e-8 of
+        # its trace; 272 keeps all but about 4.5e-9.
         mixture = GaussianMixtureState(SqueezedState(3, 1.5), NoiseCovariance(1, 1))
         assert default_cutoff(mixture.center, mixture.noise) == fock_oracle.CUTOFF_MAX == 256
         with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
@@ -168,8 +168,9 @@ class TestDefaultCutoff:
         vec = squeezed_fock_vector(center.alpha, r, rho.cutoff)
         assert abs(fidelity_against(vec, rho) - 1) < 1e-5
 
-    def test_squeezing_beyond_the_declared_range_is_a_truncation_error(self):
-        with pytest.raises(TruncationError):
+    def test_squeezing_past_the_float_range_is_a_domain_error(self):
+        # e^{800}/2 overflows the center's variance before any cutoff is chosen
+        with pytest.raises(DomainError, match="squeezed variance overflows"):
             mixture_density_matrix(GaussianMixtureState(SqueezedState(0, 400), NoiseCovariance(0, 0)))
 
 
@@ -501,8 +502,9 @@ class TestSqueezing:
         defect = np.max(np.abs((s.conj().T @ s - np.eye(41))[:block, :block]))
         assert defect < 1e-8
 
-    def test_rejects_r_beyond_declared_range(self):
-        with pytest.raises(TruncationError):
+    def test_rejects_r_its_cutoff_cannot_hold(self):
+        with pytest.raises(TruncationError,
+                           match=truncated(r"the leak of S\(1\.6\)\|0> into the top third")):
             squeeze_fock_matrix(1.6, 128)
 
     def test_rejects_cutoff_too_small_for_r(self):
@@ -768,7 +770,11 @@ class TestDefaultGrid:
     def test_is_as_close_to_101_nodes_as_the_full_grid(self, center, noise):
         cutoff = default_cutoff(center, noise)
         grid = fock_oracle._default_grid(center, noise)
-        assert grid.nodes_per_axis <= fock_oracle.DEFAULT_NODES
+        if grid.nodes_per_axis > fock_oracle.DEFAULT_NODES:
+            # 41 nodes leave these above 1e-8, so 101 are no reference: the exact rho is.
+            rho = fock_oracle._projector_sum(center, noise, grid, cutoff)
+            assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-8
+            return
         want = fock_oracle._projector_sum(center, noise, QuadratureGrid(101), cutoff)
 
         def error(g):
@@ -803,6 +809,77 @@ class TestDefaultGrid:
         assert grid != QuadratureGrid()
         want = mixture_density_matrix(mix, grid=grid).matrix
         assert np.array_equal(mixture_density_matrix(mix).matrix, want)
+
+
+#: Bargmann frame: the amplitude pair (conj z, w) of <<z| rho |w>> is L (x, p).
+_BARGMANN = np.array([[1, 1], [1j, -1j]]) / math.sqrt(2)
+
+
+def _exact_gaussian_rho(center, noise, cutoff):
+    """rho of the Gaussian state of the mixture's mean and covariance, with no quadrature.
+
+    Its Bargmann function <<z| rho |w>> is G_00 exp(b.x + x^T A x / 2) in x = (conj z, w),
+    so rho_mn = G_mn with G_mn = (b_1 G_{m-1,n} + A_11 sqrt(m-1) G_{m-2,n}
+    + A_12 sqrt(n) G_{m-1,n-1}) / sqrt(m), and row 0 by the same rule in n (Miatto and
+    Quesada, Quantum 4, 366 (2020)).  With S the covariance plus 1/2 and mu the mean of
+    (x, p): A = [[0, 1], [1, 0]] - L^T S^-1 L, b = L^T S^-1 mu and
+    G_00 = exp(-mu^T S^-1 mu / 2) / sqrt(det S).  Each row after row 0 is one step.
+    """
+    (vx, vp), mu = center.quadrature_variances(), np.array(center.quadrature_means())
+    s_inv = np.diag([1 / (vx + float(noise.var_x) + 0.5), 1 / (vp + float(noise.var_p) + 0.5)])
+    a = np.array([[0, 1], [1, 0]]) - _BARGMANN.T @ s_inv @ _BARGMANN
+    b = _BARGMANN.T @ s_inv @ mu
+    root = np.sqrt(np.arange(cutoff + 1.0))
+    g = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    g[0, 0] = math.exp(-0.5 * mu @ s_inv @ mu) * math.sqrt(s_inv[0, 0] * s_inv[1, 1])
+    # At the first step the index -1 reads a row or entry still 0, which root[0] = 0 zeroes too.
+    for n in range(1, cutoff + 1):
+        g[0, n] = (b[1] * g[0, n - 1] + a[1, 1] * root[n - 1] * g[0, n - 2]) / root[n]
+    for m in range(1, cutoff + 1):
+        row = b[0] * g[m - 1]
+        row[1:] += a[0, 1] * root[1:] * g[m - 1, :-1]
+        row += a[0, 0] * root[m - 1] * g[m - 2]
+        g[m] = row / root[m]
+    return g
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("center", [
+        CoherentState(0), CoherentState(1 - 1j), SqueezedState(2 - 1j, 1.5),
+        SqueezedState(1 - 2j, -1.2), SqueezedState(3j, -0.8),
+    ])
+    def test_matches_the_outer_product_of_a_pure_column(self, center):
+        cutoff = default_cutoff(center)
+        block = fock_oracle._fock_columns([center.alpha], center.r, cutoff)
+        vec = block[:cutoff + 1, 0] + 1j * block[cutoff + 1:, 0]
+        want = _exact_gaussian_rho(center, NoiseCovariance(0, 0), cutoff)
+        assert np.max(np.abs(np.outer(vec, vec.conj()) - want)) <= 1e-13
+
+    def test_matches_a_101_node_build(self):
+        center, noise = CoherentState(1 + 1j), NoiseCovariance(1, 0.25)
+        cutoff = default_cutoff(center, noise)
+        rho = fock_oracle._projector_sum(center, noise, QuadratureGrid(101), cutoff)
+        assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-13
+
+    # Squeezed centres under noise not squeezed with them: 41 nodes miss the first
+    # four by 5.1e-3, 2.3e-7, 9.3e-4 and 8.8e-6.
+    @pytest.mark.parametrize("center, noise, nodes", [
+        (SqueezedState(0, 1.5), NoiseCovariance(1, 1), 365),
+        (SqueezedState(0, 0.5), NoiseCovariance(1, 1), 57),
+        (SqueezedState(0.3, 0.9), NoiseCovariance(1.5, 1.5), 170),
+        (SqueezedState(1j, 0.6), NoiseCovariance(0.02, 1.2), 80),
+        (SqueezedState(0, 1.6), NoiseCovariance(0.3, 0.3), 140),
+    ])
+    def test_default_build_is_within_1e_8(self, center, noise, nodes):
+        assert fock_oracle._default_grid(center, noise) == QuadratureGrid(nodes)
+        rho = mixture_density_matrix(GaussianMixtureState(center, noise))
+        assert np.max(np.abs(rho.matrix - _exact_gaussian_rho(center, noise, rho.cutoff))) <= 1e-8
+
+    def test_a_mixture_no_grid_resolves_names_the_node_count(self):
+        mixture = GaussianMixtureState(SqueezedState(0, 5), NoiseCovariance(0.5, 0.5))
+        with pytest.raises(TruncationError,
+                           match=r"^node count 370 is too small: the quadrature error 0\.5 f\^n is "):
+            mixture_density_matrix(mixture)
 
 
 def _divided_columns(alphas, r, cutoff, scale):

@@ -159,6 +159,11 @@ def returns_finite_or_raises_sgclone_error(fn, args):
 @example(call=(coherent_fock_vector, (8.988465674311579e+307 + 8.98846567431158e+307j, 32)))
 @example(call=(squeezed_fock_vector, (1e200, 1.0, 32)))
 @example(call=(squeezed_fock_vector, (1.7e308 + 1.7e308j, -1.5, 32)))
+@example(call=(squeezed_fock_vector, (0, 20, 32)))  # tanh r rounds to 1
+@example(call=(squeezed_fock_vector, (0, 800, 32)))  # cosh r overflows
+@example(call=(squeeze_fock_matrix, (1.7976931348623157e308, 32)))  # r lam overflows
+@example(call=(default_cutoff, (SqueezedState(0, 400),)))  # e^{2r}/2 overflows
+@example(call=(mixture_density_matrix, (GaussianMixtureState(SqueezedState(0, 5), HALF),)))
 @given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):
     returns_finite_or_raises_sgclone_error(*call)

@@ -16,9 +16,11 @@ and ``verify`` import numpy and ``fock_oracle`` inside the functions that
 draw numbers or build arrays, so their bounds and argument checks load none.
 Every value class derives from ``quadrature_core._Value``, so no module imports
 ``dataclasses``, in a function body or not, and no class is a ``@dataclass``.
-``fock_oracle._check_truncation`` is the one verdict on what the cutoff loses:
-the two truncation limits are only its arguments, and it alone raises
-``TruncationError``, but for the |r| <= MAX_SQUEEZING argument range.  Every
+``fock_oracle._check_truncation`` is the one verdict on what the cutoff or the
+default grid loses: the two truncation limits are only its arguments, but
+where the default grid counts its nodes to meet one, and it alone raises
+``TruncationError``; the declared squeezing range ``MAX_SQUEEZING`` and its
+clamp ``_center_variances`` are gone.  Every
 Fock column comes from ``fock_oracle._fock_columns``: no function calls
 ``squeeze_fock_matrix``, the route the columns are tested against, and the
 squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
@@ -162,12 +164,12 @@ def test_fock_oracle_has_one_truncation_verdict():
             if isinstance(node, ast.Name) and node.id in TRUNCATION_LIMITS
             and isinstance(node.ctx, ast.Load)]
     assert {node.id for node in uses} == TRUNCATION_LIMITS
-    assert [(owner(node)[0], ast.unparse(parent[node])) for node in uses if not judged(node)] == []
+    # The one use outside a verdict: the default grid counts its nodes to meet the limit.
+    assert [(owner(node)[0], ast.unparse(parent[node])) for node in uses if not judged(node)] \
+        == [("_default_grid", "(_GRID_EPS, DEFAULT_EPS_TRUNC)")]
     raises = [owner(node) for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and "TruncationError" in ast.unparse(node.exc)]
-    assert sorted(raises) == [("_check_truncation", "not value <= limit"),
-                              ("_fock_columns", "abs(r) > MAX_SQUEEZING"),
-                              ("squeeze_fock_matrix", "abs(r) > MAX_SQUEEZING")]
+    assert raises == [("_check_truncation", "not value <= limit")]
 
 
 def test_one_route_builds_the_fock_columns():
@@ -209,7 +211,7 @@ def test_projector_sum_is_one_block():
     assert loops == []
 
 
-@pytest.mark.parametrize("name", ["_CHUNK", "_cascaded_density"])
+@pytest.mark.parametrize("name", ["_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances"])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if re.search(rf"\b{name}\b", path.read_text())] == []
