@@ -6,9 +6,11 @@ three-term recurrence in the number basis, exact entry by entry (a coherent
 vector is the r = 0 column), mixtures by Gauss-Hermite integration over the
 displacement distribution, moments read off three diagonals of rho, homodyne
 pmfs of x and p on a grid of bins (what the Monte Carlo simulations draw
-from), and the cascade channel's displacements from one cached real eigh of
-the p-shift generator H = a^dag + a, D(i b) = V exp(i b lam) V^T; a real shift
-is that one turned by a quarter, D(b) = R^dag D(i b) R with R = diag(i^n).
+from), and the cascade channel, which averages its Gaussian shifts in closed
+form on one cached real eigh of the p-shift generator H = a^dag + a,
+D(i b) = V exp(i b lam) V^T; a real shift is that one turned by a quarter,
+D(b) = R^dag D(i b) R with R = diag(i^n).  The channel takes no grid: the
+projector sum is the one reader of the Gauss-Hermite rule.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -33,7 +35,8 @@ degenerate axis (variance 0) collapses to a single node so pure limits are
 reproduced without quadrature error.  The lightest nodes, whose weights sum
 to at most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
 (955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of the
-19-node grid).
+19-node grid).  One cached table per node count and noisy axes, _kept_grid,
+holds the kept nodes' unit offsets and root weights.
 
 The sum is one real symmetric product: _fock_columns writes the columns
 D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im], and rho
@@ -96,7 +99,8 @@ _TAIL_EPS = 1e-12
 _DROPPED_MASS = 1e-18
 #: Quadrature error the default grid aims at, the rounding floor of a unit trace.
 _GRID_EPS = 1e-16
-#: Node counts cached: the default grid and its double, but for rare squeezed mixtures.
+#: Node counts cached, for the Gauss-Hermite rule and for its kept nodes: the default
+#: grid and its double, but for rare squeezed mixtures.
 _GRID_CACHE = 2 * DEFAULT_NODES
 #: The cascade channel runs in a basis this many times the cutoff block, so
 #: the truncation edge of its shift operators stays far from that block.
@@ -351,47 +355,46 @@ def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
     return squeezed_fock_vector(alpha, 0.0, cutoff)
 
 
-def _kept_nodes(weights: np.ndarray) -> np.ndarray:
-    """Mask of the nodes to sum: all but the lightest, whose running sum is <= _DROPPED_MASS.
+@lru_cache(maxsize=4 * _GRID_CACHE)  # four patterns of noisy axes per node count
+def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool) -> tuple[np.ndarray, ...]:
+    """Unit offsets (t_x, t_p) and root weights sqrt(w) of a grid's kept nodes, read-only.
 
-    The weights are positive and every entry of a unit column has |c_m c_n| <= 1, so
-    no entry of the sum moves by more than _DROPPED_MASS.  The sort is
-    stable, so the same nodes go for the same weights.
+    A quiet axis has the one node 0.  Kept are all but the lightest nodes, whose weights
+    sum to at most _DROPPED_MASS: every entry of a unit column has |c_m c_n| <= 1, so no
+    entry of the sum moves by more.  The sort is stable, so the same nodes go for the
+    same weights.
     """
+    grid = QuadratureGrid(nodes)
+    (tx, ux), (tp, up) = (grid.axis_nodes(float(noisy)) for noisy in (noisy_x, noisy_p))
+    weights = np.outer(ux, up).ravel()
     order = np.argsort(weights, kind="stable")
-    dropped = np.searchsorted(np.cumsum(weights[order]), _DROPPED_MASS, side="right")
     keep = np.ones(weights.size, dtype=bool)
-    keep[order[:dropped]] = False
-    return keep
-
-
-@lru_cache(maxsize=4 * _GRID_CACHE)  # four axis-size patterns per node count
-def _kept_mask(nodes: int, size_x: int, size_p: int) -> np.ndarray:
-    """_kept_nodes of a grid's tensor weights, which only the node count and the axis sizes fix."""
-    ux, up = (QuadratureGrid(nodes).axis_nodes(int(size > 1))[1] for size in (size_x, size_p))
-    keep = _kept_nodes(np.outer(ux, up).ravel())
-    keep.setflags(write=False)
-    return keep
+    keep[order[:np.searchsorted(np.cumsum(weights[order]), _DROPPED_MASS, side="right")]] = False
+    table = (np.repeat(tx, tp.size)[keep], np.tile(tp, tx.size)[keep], np.sqrt(weights[keep]))
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def _projector_sum(
-    center: SqueezedState, noise: NoiseCovariance, grid: QuadratureGrid, cutoff: int
+    center: SqueezedState, noise: NoiseCovariance, grid: Optional[QuadratureGrid], cutoff: int
 ) -> np.ndarray:
     """The center's projector averaged over the grid's displacements of the noise.
 
-    With c_k the kept nodes' columns D(a_k) S(r)|0>, scaled by sqrt(w_k), and
+    Without a grid it takes the one its noise needs, _default_grid.  With c_k
+    the kept nodes' columns D(a_k) S(r)|0>, scaled by sqrt(w_k), and
     B = [Re c; Im c] as _fock_columns writes it, sum_k w_k c_k c_k^dag is
     (G_rr + G_ii) + i (G_ir - G_ri) for G = B B^T, written straight into the
     real and imaginary parts of rho.  B is one block: the largest grid keeps
     9636 nodes.
     """
-    bx, ux = grid.axis_nodes(noise.var_x)
-    bp, up = grid.axis_nodes(noise.var_p)
-    keep = _kept_mask(grid.nodes_per_axis, ux.size, up.size)
-    alphas = (center.alpha + (bx[:, None] + 1j * bp[None, :])).ravel()[keep]
-    roots = np.sqrt(np.outer(ux, up).ravel()[keep])
+    if grid is None:
+        grid = _default_grid(center, noise)
+    _check_type("grid", grid, QuadratureGrid)
+    tx, tp, roots = _kept_grid(grid.nodes_per_axis, noise.var_x != 0, noise.var_p != 0)
+    bx, bp = math.sqrt(float(noise.var_x)) * tx, math.sqrt(float(noise.var_p)) * tp
     d = cutoff + 1
-    block = _fock_columns(alphas, center.r, cutoff, roots)
+    block = _fock_columns(center.alpha + (bx + 1j * bp), center.r, cutoff, roots)
     gram = block @ block.T
     rho = np.empty((d, d), dtype=complex)
     np.add(gram[:d, :d], gram[d:, d:], out=rho.real)
@@ -413,8 +416,6 @@ def mixture_density_matrix(
     _check_type("mixture", mixture, GaussianMixtureState)
     cutoff = default_cutoff(mixture.center, mixture.noise) if cutoff is None else cutoff
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    grid = _default_grid(mixture.center, mixture.noise) if grid is None else grid
-    _check_type("grid", grid, QuadratureGrid)
     rho = _projector_sum(mixture.center, mixture.noise, grid, cutoff)
     _check_truncation("the trace lost by the mixture", 1.0 - float(np.trace(rho).real),
                       DEFAULT_EPS_TRUNC, cutoff)
@@ -437,28 +438,27 @@ def fidelity_against(state: FockVector, rho: DensityMatrix) -> float:
     return float(value.real)
 
 
-def _shift_channel(rho: np.ndarray, axis: str, variance, grid: QuadratureGrid) -> np.ndarray:
-    """Average D(b) rho D(b)^dag over the Gauss-Hermite shifts b of one axis.
+def _shift_channel(rho: np.ndarray, axis: str, variance) -> np.ndarray:
+    """Average D(b) rho D(b)^dag over the Gaussian shifts b ~ N(0, variance/2) of one axis.
 
     In the real eigenbasis of H_p every shift D(i b) is diagonal, so the p
-    average is the Hadamard product of rho with
-    K_mn = sum_j w_j exp(i b_j (lam_m - lam_n)), a rank-nodes matrix.  The x
+    average is the Hadamard product of rho with the characteristic function
+    of b, K_mn = exp(-variance (lam_m - lam_n)^2 / 4), exact: no grid.  The x
     average is the p average of rho turned by R = diag(i^n), turned back, as
     D(b) = R^dag D(i b) R.  A zero variance leaves rho untouched.
     """
     if variance == 0:
         return rho
     lam, v = _spectrum(rho.shape[0], "p")
-    offsets, weights = grid.axis_nodes(variance)
-    phases = np.exp(1j * np.outer(lam, offsets))
-    kernel = (phases * weights) @ phases.conj().T
+    with np.errstate(over="ignore"):  # an exponent past the float range makes an entry 0
+        kernel = np.exp(-0.25 * float(variance) * np.subtract.outer(lam, lam) ** 2)
     if axis == "x":
         rho = _quarter_turn(rho, 1)
     # V^T M for a C-ordered complex M is one real product on its [Re, Im] columns;
     # M V is (V^T M^T)^T, so each side takes one transposed copy.
     left = (v.T @ rho.view(float)).view(complex)
     inner_t = (v.T @ np.ascontiguousarray(left.T).view(float)).view(complex)
-    inner_t *= kernel.T
+    inner_t *= kernel
     right = (v @ inner_t.view(float)).view(complex)
     out = (v @ np.ascontiguousarray(right.T).view(float)).view(complex)
     return _quarter_turn(out, -1) if axis == "x" else out
@@ -475,38 +475,29 @@ def cascade_density_check(
 
     Route one builds the first mixture's rho at the cutoff, puts it into a
     basis of _PADDING * (cutoff + 1) states, and applies the second noise as
-    an operator channel on it there: the average of D(b) rho D(b)^dag over
-    the x-shifts, then over the p-shifts, both read off the one real spectrum
-    of the p generator (_shift_channel).  The padding keeps the truncation
-    edge of the shift operators far from the compared block.  Route two
-    builds a single mixture with the componentwise noise sum at the cutoff,
-    and the two are compared on the (cutoff + 1)^2 block.  Agreement
+    an operator channel on it there: the Gaussian average of D(b) rho D(b)^dag
+    over the x-shifts, then over the p-shifts, both in closed form on the one
+    real spectrum of the p generator (_shift_channel).  The padding keeps the
+    truncation edge of the shift operators far from the compared block.  Route
+    two builds a single mixture with the componentwise noise sum at the
+    cutoff, and the two are compared on the (cutoff + 1)^2 block.  Agreement
     certifies that cascaded cloners convolve, i.e. variances add; a channel
     with its axes swapped misses on anisotropic noise.  Coherent and squeezed
-    centers run the same code.  Without a grid, each mixture takes the grid
-    its noise needs (_default_grid) and the channel the DEFAULT_NODES grid:
-    its kernel is an oscillatory sum that the mixtures' error model does not
-    cover.  A cutoff whose block drops more than DEFAULT_EPS_TRUNC of the
-    summed trace raises TruncationError; the first mixture, with less noise,
-    drops less.
+    centers run the same code.  Both mixtures take ``grid``, by default each
+    the grid its noise needs (_default_grid).  A cutoff whose block drops more
+    than DEFAULT_EPS_TRUNC of the summed trace raises TruncationError; the
+    first mixture, with less noise, drops less.
     """
     _check_type("center", center, SqueezedState)
     total = add_noise(noise_first, noise_second)
     cutoff = default_cutoff(center, total) if cutoff is None else cutoff
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    if grid is None:
-        first_grid, total_grid = _default_grid(center, noise_first), _default_grid(center, total)
-        channel_grid = QuadratureGrid()
-    else:
-        _check_type("grid", grid, QuadratureGrid)
-        first_grid = channel_grid = total_grid = grid
-
     d = cutoff + 1
     rho_cascaded = np.zeros((_PADDING * d,) * 2, dtype=complex)
-    rho_cascaded[:d, :d] = _projector_sum(center, noise_first, first_grid, cutoff)
-    rho_cascaded = _shift_channel(rho_cascaded, "x", noise_second.var_x, channel_grid)
-    rho_cascaded = _shift_channel(rho_cascaded, "p", noise_second.var_p, channel_grid)
-    rho_summed = _projector_sum(center, total, total_grid, cutoff)
+    rho_cascaded[:d, :d] = _projector_sum(center, noise_first, grid, cutoff)
+    rho_cascaded = _shift_channel(rho_cascaded, "x", noise_second.var_x)
+    rho_cascaded = _shift_channel(rho_cascaded, "p", noise_second.var_p)
+    rho_summed = _projector_sum(center, total, grid, cutoff)
     _check_truncation("the trace lost by the summed mixture",
                       1.0 - float(np.trace(rho_summed).real), DEFAULT_EPS_TRUNC, cutoff)
     return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed)))

@@ -191,9 +191,10 @@ def verify_fock(
     physicality, moment, additivity and convergence tolerances are fixed.
     A negative tolerance fails its checks; a NaN or infinite one, which
     no check could fail, is rejected.  ``nodes`` fixes one Gauss-Hermite
-    grid for every state, whose error no verdict judges; by default each
-    state takes the grid its noise needs (``fock_oracle._default_grid``),
-    at most DEFAULT_NODES per axis for every state of this suite.
+    grid for every mixture, whose error no verdict judges; by default each
+    mixture takes the grid its noise needs (``fock_oracle._default_grid``),
+    at most DEFAULT_NODES per axis for every state of this suite.  The
+    cascade channel takes no grid: it averages its shifts in closed form.
     """
     tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
     # The convergence check doubles nodes and cutoff: reject a double beyond

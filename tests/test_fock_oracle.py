@@ -13,6 +13,7 @@ from sgclone import (
     GaussianMixtureState,
     NoiseCovariance,
     QuadratureGrid,
+    SGCloneError,
     SqueezedState,
     TruncationError,
     add_noise,
@@ -248,6 +249,13 @@ class TestFidelityAgainst:
         with pytest.raises(DimensionError):
             fidelity_against(coherent_fock_vector(0, 16), mixture_density_matrix(make_mixture(0, 0.5)))
 
+    def test_an_imaginary_fidelity_is_rejected(self):
+        # a hermiticity defect of exactly 1e-12 passes, yet adds 5e-12 i to <u|rho|u>
+        rho = DensityMatrix(9, np.eye(10) / 10 + 5e-13j * np.ones((10, 10)))
+        uniform = FockVector(9, np.ones(10) / math.sqrt(10))
+        with pytest.raises(SGCloneError, match=r"imaginary part: 5\.000e-12$"):
+            fidelity_against(uniform, rho)
+
 
 class TestQuadratureMoments:
     def test_vacuum(self):
@@ -351,31 +359,36 @@ class TestCascadeDensityCheck:
         rho = mixture_density_matrix(make_mixture(1 + 1j, 0.3, 0.7), cutoff=63).matrix
         for axis, variance in (("x", 0.6), ("p", 0.1)):
             expected = _dense_shift_channel(rho, axis, variance, FAST_GRID)
-            observed = fock_oracle._shift_channel(rho, axis, variance, FAST_GRID)
+            observed = fock_oracle._shift_channel(rho, axis, variance)
             assert np.max(np.abs(observed - expected)) < 1e-12
 
-    @pytest.mark.parametrize("fault", ["swapped axes", "bra shift sign flipped"])
+    @pytest.mark.parametrize("fault", [
+        "swapped axes", "bra shift sign flipped", "variance doubled", "variance halved",
+    ])
     def test_faulty_channel_fails_on_anisotropic_pair(self, monkeypatch, fault):
         channel = fock_oracle._shift_channel
         if fault == "swapped axes":
-            def faulty(rho, axis, variance, grid):
-                return channel(rho, {"x": "p", "p": "x"}[axis], variance, grid)
+            def faulty(rho, axis, variance):
+                return channel(rho, {"x": "p", "p": "x"}[axis], variance)
+        elif fault == "bra shift sign flipped":
+            def faulty(rho, axis, variance):
+                return _dense_shift_channel(rho, axis, variance, FAST_GRID, adjoint=False)
         else:
-            def faulty(rho, axis, variance, grid):
-                return _dense_shift_channel(rho, axis, variance, grid, adjoint=False)
+            def faulty(rho, axis, variance):
+                return channel(rho, axis, variance * (2 if fault == "variance doubled" else 0.5))
         monkeypatch.setattr(fock_oracle, "_shift_channel", faulty)
         assert cascade_density_check(*ANISOTROPIC_CASCADE, cutoff=40, grid=FAST_GRID) > 1e-3
 
-    def test_channel_output_is_thermal(self):
+    @pytest.mark.parametrize("second", [0.5, 3, 4])
+    def test_channel_output_is_thermal(self, second):
         # A vacuum-centred isotropic mixture with noise sigma^2 is thermal, nbar = sigma^2.
-        half = NoiseCovariance(0.5, 0.5)
-        cutoff = default_cutoff(CoherentState(0), add_noise(half, half))
+        half, noise = NoiseCovariance(0.5, 0.5), NoiseCovariance(second, second)
+        cutoff = default_cutoff(CoherentState(0), add_noise(half, noise))
         d = cutoff + 1
-        grid = QuadratureGrid()
-        rho = fock_oracle._projector_sum(CoherentState(0), half, grid, 2 * d - 1)
-        rho = fock_oracle._shift_channel(rho, "x", half.var_x, grid)
-        rho = fock_oracle._shift_channel(rho, "p", half.var_p, grid)[:d, :d]
-        nbar = 1.0
+        rho = fock_oracle._projector_sum(CoherentState(0), half, QuadratureGrid(), 2 * d - 1)
+        rho = fock_oracle._shift_channel(rho, "x", noise.var_x)
+        rho = fock_oracle._shift_channel(rho, "p", noise.var_p)[:d, :d]
+        nbar = 0.5 + second
         thermal = np.diag(nbar ** np.arange(d) / (nbar + 1) ** np.arange(1, d + 1))
         assert np.max(np.abs(rho - thermal)) < 1e-10
 
@@ -385,8 +398,8 @@ class TestCascadeDensityCheck:
     def test_swapped_axes_fail_on_squeezed_center(self, monkeypatch):
         channel = fock_oracle._shift_channel
 
-        def faulty(rho, axis, variance, grid):
-            return channel(rho, {"x": "p", "p": "x"}[axis], variance, grid)
+        def faulty(rho, axis, variance):
+            return channel(rho, {"x": "p", "p": "x"}[axis], variance)
 
         monkeypatch.setattr(fock_oracle, "_shift_channel", faulty)
         assert cascade_density_check(*SQUEEZED_CASCADE) > 1e-3
@@ -414,6 +427,11 @@ class TestCascadeDensityCheck:
     def test_anisotropic_pair_on_the_default_grids(self):
         assert cascade_density_check(*ANISOTROPIC_CASCADE) < 1e-6
 
+    def test_small_then_large_noise_on_the_default_grids(self):
+        # The second noise's shifts spread far wider than the first mixture's grid.
+        first, second = NoiseCovariance(0.1, 0.1), NoiseCovariance(4, 4)
+        assert cascade_density_check(CoherentState(0), first, second) <= 1e-6
+
     @pytest.mark.parametrize("center, first, second", [
         ANISOTROPIC_CASCADE,
         SQUEEZED_CASCADE,
@@ -429,8 +447,8 @@ class TestCascadeDensityCheck:
         at_cutoff = np.zeros_like(padded)
         at_cutoff[:d, :d] = fock_oracle._projector_sum(center, first, grid, cutoff)
         for axis, variance in (("x", second.var_x), ("p", second.var_p)):
-            padded = fock_oracle._shift_channel(padded, axis, variance, grid)
-            at_cutoff = fock_oracle._shift_channel(at_cutoff, axis, variance, grid)
+            padded = fock_oracle._shift_channel(padded, axis, variance)
+            at_cutoff = fock_oracle._shift_channel(at_cutoff, axis, variance)
         assert np.max(np.abs(padded[:d, :d] - at_cutoff[:d, :d])) <= 1e-12
 
 
@@ -687,9 +705,12 @@ class TestProjectorSum:
 
     @pytest.mark.parametrize("nodes", [2, 3, 41, 82, 200])
     def test_dropped_weight_is_negligible(self, nodes):
-        _, w = QuadratureGrid(nodes).axis_nodes(1.0)
+        t, w = QuadratureGrid(nodes).axis_nodes(1.0)
         weights = np.outer(w, w).ravel()
-        keep = fock_oracle._kept_nodes(weights)
+        tx, tp, _ = fock_oracle._kept_grid(nodes, True, True)
+        keep = np.zeros(weights.size, dtype=bool)
+        keep[np.searchsorted(t, tx) * nodes + np.searchsorted(t, tp)] = True
+        assert keep.sum() == tx.size
         dropped = np.sort(weights[~keep])
         assert dropped.sum() <= fock_oracle._DROPPED_MASS == 1e-18
         # As many as the bound allows: the lightest kept node would break it.
@@ -697,20 +718,24 @@ class TestProjectorSum:
 
     @pytest.mark.parametrize("nodes, kept", [(41, 955), (82, 2034)])
     def test_kept_node_counts(self, nodes, kept):
-        _, w = QuadratureGrid(nodes).axis_nodes(1.0)
-        assert fock_oracle._kept_nodes(np.outer(w, w).ravel()).sum() == kept
+        assert fock_oracle._kept_grid(nodes, True, True)[2].size == kept
 
     def test_the_largest_grid_is_one_block(self):
         # The width of B at NODES_LIMIT; a larger limit needs its memory looked at again.
-        assert fock_oracle._kept_mask(fock_oracle.NODES_LIMIT, 2, 2).sum() == 9636
+        assert fock_oracle._kept_grid(fock_oracle.NODES_LIMIT, True, True)[2].size == 9636
 
     @pytest.mark.parametrize("var_x, var_p", [(0.7, 0.3), (0, 0.3), (0.7, 0), (0, 0)])
     def test_cached_mask_is_kept_nodes_of_the_weights(self, var_x, var_p):
         grid = QuadratureGrid(41)
-        (_, ux), (_, up) = grid.axis_nodes(var_x), grid.axis_nodes(var_p)
-        cached = fock_oracle._kept_mask(41, ux.size, up.size)
-        assert np.array_equal(cached, fock_oracle._kept_nodes(np.outer(ux, up).ravel()))
-        assert not cached.flags.writeable
+        (tx, ux), (tp, up) = grid.axis_nodes(float(var_x > 0)), grid.axis_nodes(float(var_p > 0))
+        weights = np.outer(ux, up).ravel()
+        light = np.argsort(weights, kind="stable")
+        light = light[np.cumsum(weights[light]) <= fock_oracle._DROPPED_MASS]
+        keep = np.isin(np.arange(weights.size), light, invert=True)
+        want = (np.repeat(tx, tp.size)[keep], np.tile(tp, tx.size)[keep], np.sqrt(weights[keep]))
+        cached = fock_oracle._kept_grid(41, var_x > 0, var_p > 0)
+        assert all(np.array_equal(got, column) for got, column in zip(cached, want, strict=True))
+        assert not any(column.flags.writeable for column in cached)
 
     @pytest.mark.parametrize("r", [0.5, -0.35])
     def test_squeezed_columns_match_displaced_squeezed_rows(self, r):

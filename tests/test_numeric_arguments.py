@@ -164,6 +164,7 @@ def returns_finite_or_raises_sgclone_error(fn, args):
 @example(call=(squeeze_fock_matrix, (1.7976931348623157e308, 32)))  # r lam overflows
 @example(call=(default_cutoff, (SqueezedState(0, 400),)))  # e^{2r}/2 overflows
 @example(call=(mixture_density_matrix, (GaussianMixtureState(SqueezedState(0, 5), HALF),)))
+@example(call=(cascade_density_check, (CoherentState(0), HALF, NoiseCovariance(1e308, 1e308))))
 @given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):
     returns_finite_or_raises_sgclone_error(*call)

@@ -26,9 +26,13 @@ Fock column comes from ``fock_oracle._fock_columns``: no function calls
 squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
 cascade channel reads one real spectrum, of the p generator, and turns rho by
 a quarter for x, so ``_GENERATORS`` has no "x" and the quarter-turn phase
-table is written once; ``_projector_sum`` is one block with no loop, which
-``_fock_columns`` writes row by row, so no ``concatenate`` stacks it, and the
-chunk size ``_CHUNK`` and the ``_cascaded_density`` helper are gone.
+table is written once.  It averages its shifts in closed form, so
+``_shift_channel`` takes no grid: ``_projector_sum`` alone reads the
+Gauss-Hermite rule, through one cached table of kept nodes, ``_kept_grid``,
+and the masks ``_kept_nodes`` and ``_kept_mask`` are gone.  ``_projector_sum``
+is one block with no loop, which ``_fock_columns`` writes row by row, so no
+``concatenate`` stacks it, and the chunk size ``_CHUNK`` and the
+``_cascaded_density`` helper are gone.
 """
 
 import ast
@@ -211,10 +215,19 @@ def test_projector_sum_is_one_block():
     assert loops == []
 
 
-@pytest.mark.parametrize("name", ["_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances"])
+@pytest.mark.parametrize("name", [
+    "_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances", "_kept_nodes", "_kept_mask",
+])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if re.search(rf"\b{name}\b", path.read_text())] == []
+
+
+def test_shift_channel_takes_no_grid():
+    channel = _oracle_definition("_shift_channel")
+    assert [arg.arg for arg in channel.args.args] == ["rho", "axis", "variance"]
+    code = ast.unparse(ast.Module(body=channel.body[1:], type_ignores=[]))  # past the docstring
+    assert re.findall(r"grid|axis_nodes|hermgauss", code) == []
 
 
 def test_projector_sum_stacks_no_block():

@@ -62,7 +62,7 @@ class TestVerifySuites:
         assert verify_fock().overall and calls
 
     def test_a_second_fock_suite_adds_no_cache_misses(self):
-        caches = (fock_oracle._hermgauss, fock_oracle._kept_mask, fock_oracle._spectrum)
+        caches = (fock_oracle._hermgauss, fock_oracle._kept_grid, fock_oracle._spectrum)
         verify_fock()
         misses = [cache.cache_info().misses for cache in caches]
         verify_fock()
