@@ -35,14 +35,19 @@ degenerate axis (variance 0) collapses to a single node so pure limits are
 reproduced without quadrature error.  The lightest nodes, whose weights sum
 to at most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
 (955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of the
-19-node grid).  One cached table per node count and noisy axes, _kept_grid,
-holds the kept nodes' unit offsets and root weights.
+19-node grid, 495 of the 861 with t_p >= 0 of the folded 41-node grid).  One
+cached table per node count, noisy axes and fold, _kept_grid, holds the kept
+nodes' unit offsets and root weights.
 
-The sum is one real symmetric product: _fock_columns writes the columns
-D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im], and rho
-is read off the blocks of B B^T, so rho is Hermitian to the bit.  Every
-column comes from that one builder: a coherent center is the squeezed center
-with r = 0, and a pure state is the zero-noise mixture, the one-node rule.
+The sum is built of real symmetric products: _fock_columns writes the
+columns D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im],
+and rho is read off the blocks of B B^T, so rho is Hermitian to the bit.  A
+center on the real axis is its own mirror, the column at conj(a) being
+conj(c), so its rho is the real Re Re^T + Im Im^T over the nodes with
+t_p >= 0, half the columns and a quarter of the product; a coherent center
+under isotropic noise is built there, at |alpha|, and turned (_projector_sum).
+Every column comes from that one builder: a coherent center is the squeezed
+center with r = 0, and a pure state is the zero-noise mixture, the one-node rule.
 
 The default cutoff, ceil((|alpha| + sqrt(V ln(1/eps)))^2) with V the larger
 variance of the clone's total covariance, leaves about eps = 1e-12 of the
@@ -355,17 +360,20 @@ def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
     return squeezed_fock_vector(alpha, 0.0, cutoff)
 
 
-@lru_cache(maxsize=4 * _GRID_CACHE)  # four patterns of noisy axes per node count
-def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=8 * _GRID_CACHE)  # four patterns of noisy axes per node count, folded or not
+def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool, folded=False) -> tuple[np.ndarray, ...]:
     """Unit offsets (t_x, t_p) and root weights sqrt(w) of a grid's kept nodes, read-only.
 
-    A quiet axis has the one node 0.  Kept are all but the lightest nodes, whose weights
-    sum to at most _DROPPED_MASS: every entry of a unit column has |c_m c_n| <= 1, so no
-    entry of the sum moves by more.  The sort is stable, so the same nodes go for the
-    same weights.
+    A quiet axis has the one node 0; a folded grid has the nodes with t_p >= 0, those off
+    the axis weighted for themselves and their mirrors (t_x, -t_p).  Kept are all but the
+    lightest nodes, whose weights sum to at most _DROPPED_MASS: every entry of a unit
+    column has |c_m c_n| <= 1, so no entry of the sum moves by more.  The sort is stable,
+    so the same nodes go for the same weights.
     """
     grid = QuadratureGrid(nodes)
     (tx, ux), (tp, up) = (grid.axis_nodes(float(noisy)) for noisy in (noisy_x, noisy_p))
+    if folded:  # the Gauss-Hermite rule is mirror-symmetric to the bit
+        tp, up = tp[tp >= 0], np.where(tp > 0, 2 * up, up)[tp >= 0]
     weights = np.outer(ux, up).ravel()
     order = np.argsort(weights, kind="stable")
     keep = np.ones(weights.size, dtype=bool)
@@ -374,6 +382,14 @@ def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool) -> tuple[np.ndarray, ..
     for column in table:
         column.setflags(write=False)
     return table
+
+
+def _turn(rho: np.ndarray, phi: float) -> np.ndarray:
+    """rho_mn e^{i phi k}, k = m - n, Hermitian to the bit: e^{-i phi k} is conj(e^{i phi k})."""
+    n = np.arange(rho.shape[0])
+    k = n[:, None] - n
+    turn = np.exp(1j * phi * n)[abs(k)]
+    return rho * np.where(k < 0, turn.conj(), turn)
 
 
 def _projector_sum(
@@ -386,15 +402,25 @@ def _projector_sum(
     B = [Re c; Im c] as _fock_columns writes it, sum_k w_k c_k c_k^dag is
     (G_rr + G_ii) + i (G_ir - G_ri) for G = B B^T, written straight into the
     real and imaginary parts of rho.  B is one block: the largest grid keeps
-    9636 nodes.
+    9636 nodes.  A center on the real axis sums each mirror pair c, conj(c) as
+    2 Re(c c^dag) on the folded grid, so rho is the real G_rr + G_ii.  Isotropic
+    noise turns with a coherent center: that rho is built at |alpha| and turned.
     """
     if grid is None:
         grid = _default_grid(center, noise)
     _check_type("grid", grid, QuadratureGrid)
-    tx, tp, roots = _kept_grid(grid.nodes_per_axis, noise.var_x != 0, noise.var_p != 0)
+    alpha, phi = center.alpha, 0.0
+    if center.r == 0 and noise.is_isotropic and alpha.imag:
+        # |alpha| past the float range is inf in hypot: its column is 0 in floats anyway
+        alpha, phi = min(math.hypot(alpha.real, alpha.imag), np.finfo(float).max), np.angle(alpha)
+    folded = not alpha.imag
+    tx, tp, roots = _kept_grid(grid.nodes_per_axis, noise.var_x != 0, noise.var_p != 0, folded)
     bx, bp = math.sqrt(float(noise.var_x)) * tx, math.sqrt(float(noise.var_p)) * tp
     d = cutoff + 1
-    block = _fock_columns(center.alpha + (bx + 1j * bp), center.r, cutoff, roots)
+    block = _fock_columns(alpha + (bx + 1j * bp), center.r, cutoff, roots)
+    if folded:  # symmetric products on the contiguous halves Re and Im
+        rho = block[:d] @ block[:d].T + block[d:] @ block[d:].T
+        return _turn(rho, phi) if phi else rho
     gram = block @ block.T
     rho = np.empty((d, d), dtype=complex)
     np.add(gram[:d, :d], gram[d:, d:], out=rho.real)

@@ -30,6 +30,8 @@ from sgclone import (
 from sgclone import fock_oracle
 
 FAST_GRID = QuadratureGrid(21)
+#: The default grid's double.
+FINE_GRID = QuadratureGrid(82)
 #: Displaced centre with anisotropic noise on both stages: neither the
 #: centre nor the noise is symmetric under swapping the x and p axes.
 ANISOTROPIC_CASCADE = (CoherentState(1 + 1j), NoiseCovariance(0.3, 0.7), NoiseCovariance(0.6, 0.1))
@@ -678,9 +680,14 @@ class TestProjectorSum:
         (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise, 41, 1e-14),
         (SqueezedState(0.5 - 1j, -0.35), squeezed_variant(2, 3, -0.35).noise, 41, 1e-14),
         (CoherentState(0j), NoiseCovariance(0.5, 0.5), 82, 1e-15),
-    ], ids=["vacuum", "anisotropic", "squeezed r=0.5", "squeezed r=-0.35", "82 nodes"])
+        (CoherentState(1 + 1j), NoiseCovariance(0.5, 0.5), 41, 1e-15),
+        (SqueezedState(1.5, 0.5), squeezed_variant(1, 2, 0.5).noise, 41, 1e-14),
+    ], ids=["vacuum", "anisotropic", "squeezed r=0.5", "squeezed r=-0.35", "82 nodes", "turned",
+            "real-axis squeezed"])
     def test_matches_the_full_complex_sum(self, center, noise, nodes, tolerance):
-        # a squeezed row passes through S(r) on the padded basis, a sum of up to 3 d terms
+        # a squeezed row passes through S(r) on the padded basis, a sum of up to 3 d terms;
+        # the off-axis squeezed and anisotropic ids take the complex product; the turned one
+        # sums the grid turned with its centre, off this one by about 0.5 (1/3)^41 = 1e-20
         grid = QuadratureGrid(nodes)
         cutoff = default_cutoff(center, noise)
         got = fock_oracle._projector_sum(center, noise, grid, cutoff)
@@ -689,6 +696,9 @@ class TestProjectorSum:
 
     @pytest.mark.parametrize("alpha, var_x, var_p", [
         (0, 0, 0), (1 + 1j, 0, 0), (0, 0.5, 0.5), (2 - 1j, 1.359, 0.184), (1j, 0.3, 0), (-1, 0, 0.7),
+        pytest.param(1 + 1j, 0.5, 0.5, id="turned 1+1j"), pytest.param(2 - 1j, 1, 1, id="turned 2-1j"),
+        pytest.param(-0.3 + 2j, 1 / 6, 1 / 6, id="turned -0.3+2j"),
+        pytest.param(1.5, 1, 1, id="real axis 1.5"),
     ])
     def test_coherent_mixture_is_hermitian_to_the_bit(self, alpha, var_x, var_p):
         rho = mixture_density_matrix(make_mixture(alpha, var_x, var_p))
@@ -697,9 +707,11 @@ class TestProjectorSum:
     @pytest.mark.parametrize("center, noise", [
         (SqueezedState(1 + 1j, 0.5), squeezed_variant(1, 2, 0.5).noise),
         (SqueezedState(-2j, 1.2), NoiseCovariance(0.3, 0.3)),
+        pytest.param(SqueezedState(1.5, 0.5), squeezed_variant(1, 2, 0.5).noise, id="real axis"),
+        pytest.param(SqueezedState(-1, -1.2), NoiseCovariance(0.3, 0.3), id="real axis isotropic"),
     ])
     def test_squeezed_mixture_is_hermitian_to_the_bit(self, center, noise):
-        # squeezed columns enter the one symmetric product as coherent ones do
+        # squeezed columns enter the symmetric products as coherent ones do
         rho = mixture_density_matrix(GaussianMixtureState(center, noise))
         assert rho.hermiticity_defect() == 0.0
 
@@ -723,6 +735,65 @@ class TestProjectorSum:
     def test_the_largest_grid_is_one_block(self):
         # The width of B at NODES_LIMIT; a larger limit needs its memory looked at again.
         assert fock_oracle._kept_grid(fock_oracle.NODES_LIMIT, True, True)[2].size == 9636
+
+    @pytest.mark.parametrize("nodes", [2, 3, 41, 82, 200, fock_oracle.NODES_LIMIT])
+    def test_the_rule_is_mirror_symmetric_to_the_bit(self, nodes):
+        # what lets a folded node at t_p > 0 stand for its mirror at -t_p
+        t, w = QuadratureGrid(nodes).axis_nodes(1.0)
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("nodes", [2, 3, 41, 82, 200])
+    def test_folded_grid_keeps_mirror_pairs_together(self, nodes):
+        t, w = QuadratureGrid(nodes).axis_nodes(1.0)
+        weights = np.outer(w, w)
+        tx, tp, roots = fock_oracle._kept_grid(nodes, True, True, True)
+        assert np.all(tp >= 0)
+        i, j = np.searchsorted(t, tx), np.searchsorted(t, tp)
+        # each node at t_p > 0 carries its mirror's weight too, exactly
+        folded = np.where(tp > 0, 2, 1) * weights[i, j]
+        assert np.array_equal(roots, np.sqrt(folded))
+        keep = np.zeros(weights.shape, dtype=bool)
+        keep[i, j] = keep[i, nodes - 1 - j] = True
+        dropped = weights[~keep].sum()
+        assert dropped <= fock_oracle._DROPPED_MASS == 1e-18
+        # As many as the bound allows: the lightest kept node, with its mirror, would break it.
+        assert dropped + folded.min() > fock_oracle._DROPPED_MASS
+
+    @pytest.mark.parametrize("nodes, folded", [(41, 495), (82, 1017), (fock_oracle.NODES_LIMIT, 4818)])
+    def test_folded_node_counts(self, nodes, folded):
+        # beside the 955, 2034 and 9636 nodes the unfolded grids keep
+        assert fock_oracle._kept_grid(nodes, True, True, True)[2].size == folded
+        # with p quiet there is no mirror: the folded grid is the grid
+        quiet_p = fock_oracle._kept_grid(nodes, True, False)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(quiet_p, fock_oracle._kept_grid(nodes, True, False, True)))
+
+    @pytest.mark.parametrize("center, noise, grid, turned", [
+        (CoherentState(0), NoiseCovariance(0.5, 0.5), None, False),
+        (CoherentState(1.5), NoiseCovariance(0.5, 0.5), None, False),
+        (CoherentState(1 + 1j), NoiseCovariance(0.5, 0.5), None, True),
+        (CoherentState(2 - 1j), NoiseCovariance(0.5, 0.5), None, True),
+        # at noise 1 the default 41 nodes miss by about 1e-13, a quadrature error
+        (CoherentState(0), NoiseCovariance(1, 1), FINE_GRID, False),
+        (CoherentState(1.5), NoiseCovariance(1, 1), FINE_GRID, False),
+        (CoherentState(1 + 1j), NoiseCovariance(1, 1), FINE_GRID, True),
+        (CoherentState(2 - 1j), NoiseCovariance(1, 1), FINE_GRID, True),
+        (CoherentState(1.3 - 0.8j), NoiseCovariance(0, 0), None, True),
+        (SqueezedState(1.5, 0.5), squeezed_variant(1, 2, 0.5).noise, None, False),
+        (CoherentState(-0.5 + 1j), NoiseCovariance(1 / 6, 1 / 6), FINE_GRID, True),
+    ], ids=["vacuum 1/2", "real 1/2", "1+1j 1/2", "2-1j 1/2", "vacuum 1", "real 1", "1+1j 1",
+            "2-1j 1", "pure complex", "real-axis squeezed", "82 nodes"])
+    def test_folded_and_turned_builds_match_the_exact_rho(self, monkeypatch, center, noise,
+                                                          grid, turned):
+        turns = []
+        turn = fock_oracle._turn
+        monkeypatch.setattr(fock_oracle, "_turn", lambda rho, phi: turns.append(phi) or turn(rho, phi))
+        cutoff = default_cutoff(center, noise)
+        rho = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-13
+        # a real-axis centre's rho is the real Gram; a turned one turns by the phase of alpha
+        assert turns == pytest.approx([np.angle(center.alpha)] * turned, abs=1e-15)
+        assert np.isrealobj(rho) != turned
 
     @pytest.mark.parametrize("var_x, var_p", [(0.7, 0.3), (0, 0.3), (0.7, 0), (0, 0)])
     def test_cached_mask_is_kept_nodes_of_the_weights(self, var_x, var_p):

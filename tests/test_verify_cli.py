@@ -122,6 +122,17 @@ class TestVerifySuites:
         assert [(c.name, c.expected, c.observed) for c in report.checks if not c.passed] == [
             ("bound-chain identity (N<=M<=64, inf)", 2144, 2143)]
 
+    def test_a_turn_the_wrong_way_fails_the_oracle_checks(self, monkeypatch, capsys):
+        # An off-axis coherent centre is built at |alpha| and turned by the phase of alpha;
+        # turned by minus that phase it sits at conj(alpha), which the report must see.
+        turn = fock_oracle._turn
+        monkeypatch.setattr(fock_oracle, "_turn", lambda rho, phi: turn(rho, -phi))
+        assert main(["verify-fock", "--format", "json"]) == 1
+        failed = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]}
+        assert failed == {f"{check} ({n},{m})" for check in ("oracle fidelity", "center invariance")
+                          for n, m in verify.ORACLE_SCENARIOS + ((1, "inf"),)} \
+            | {"moments: mean_p of center 1+1j"}
+
     def test_report_dict_shape(self, bounds_report):
         payload = bounds_report.as_dict()
         assert set(payload) == {"checks", "overall"}
