@@ -104,7 +104,7 @@ def _run_cascade(args: argparse.Namespace):
     optimal = optimal_noise_variance(args.n, args.l)
     match = composed.noise == optimal
     return _value(
-        {"n": args.n, "m": str(args.m), "l": args.l, "composed": float(composed.noise.var_x),
+        {"n": args.n, "m": str(args.m), "l": str(args.l), "composed": float(composed.noise.var_x),
          "optimal": float(optimal.var_x), "match": match},
         f"composed {_with_exact(composed.noise.var_x)}, "
         f"optimal {_with_exact(optimal.var_x)}, match={'true' if match else 'false'}",
@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_cascade)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("l", type=int)
+    p.add_argument("l", type=_count_token)
 
     p = sub.add_parser("table", parents=[common], help="variance/fidelity grid over N <= M")
     p.set_defaults(handler=_run_table)

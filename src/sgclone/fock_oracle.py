@@ -37,7 +37,8 @@ to at most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
 (955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of the
 19-node grid, 495 of the 861 with t_p >= 0 of the folded 41-node grid).  One
 cached table per node count, noisy axes and fold, _kept_grid, holds the kept
-nodes' unit offsets and root weights.
+nodes' unit offsets and root weights; it alone reads numpy's hermgauss, once
+per table and only for a noisy axis, and QuadratureGrid is just the count.
 
 The sum is built of real symmetric products: _fock_columns writes the
 columns D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im],
@@ -83,7 +84,6 @@ from .quadrature_core import (
     _as_amplitude,
     _check_int,
     _check_type,
-    _check_variance,
     _finite,
     _shown,
     add_noise,
@@ -104,22 +104,11 @@ _TAIL_EPS = 1e-12
 _DROPPED_MASS = 1e-18
 #: Quadrature error the default grid aims at, the rounding floor of a unit trace.
 _GRID_EPS = 1e-16
-#: Node counts cached, for the Gauss-Hermite rule and for its kept nodes: the default
-#: grid and its double, but for rare squeezed mixtures.
-_GRID_CACHE = 2 * DEFAULT_NODES
 #: The cascade channel runs in a basis this many times the cutoff block, so
 #: the truncation edge of its shift operators stays far from that block.
 _PADDING = 2
 #: Bins of a homodyne pmf.
 _HOMODYNE_BINS = 512
-
-
-@lru_cache(maxsize=_GRID_CACHE)
-def _hermgauss(n: int):
-    t, w = np.polynomial.hermite.hermgauss(n)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
 
 
 # Hermitian generators: D(i b) = exp(+i b H_p) shifts the amplitude by an
@@ -146,10 +135,11 @@ def _quarter_turn(rho: np.ndarray, k: int) -> np.ndarray:
 
 
 class QuadratureGrid(_Value):
-    """Tensor Gauss-Hermite grid matched to the Gaussian displacement weight.
+    """The node count per axis of a tensor Gauss-Hermite grid, from 2 to NODES_LIMIT.
 
     Without an argument it has DEFAULT_NODES per axis, the most that
     _default_grid gives a mixture whose error model reaches 1e-16 there.
+    Its nodes and weights are read only by _kept_grid.
     """
 
     __slots__ = ("nodes_per_axis",)
@@ -157,14 +147,6 @@ class QuadratureGrid(_Value):
     def __init__(self, nodes_per_axis: int = DEFAULT_NODES):
         _check_int("nodes_per_axis", nodes_per_axis, 2, maximum=NODES_LIMIT)
         self._set("nodes_per_axis", nodes_per_axis)
-
-    def axis_nodes(self, variance) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude offsets and probability weights for one quadrature axis."""
-        _check_variance("variance", variance)
-        if variance == 0:
-            return np.zeros(1), np.ones(1)
-        t, w = _hermgauss(self.nodes_per_axis)
-        return math.sqrt(float(variance)) * t, w / math.sqrt(math.pi)
 
 
 def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
@@ -360,18 +342,23 @@ def coherent_fock_vector(alpha, cutoff: int) -> FockVector:
     return squeezed_fock_vector(alpha, 0.0, cutoff)
 
 
-@lru_cache(maxsize=8 * _GRID_CACHE)  # four patterns of noisy axes per node count, folded or not
+@lru_cache(maxsize=16 * DEFAULT_NODES)  # 4 noisy patterns, folded or not, for 82 node counts
 def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool, folded=False) -> tuple[np.ndarray, ...]:
     """Unit offsets (t_x, t_p) and root weights sqrt(w) of a grid's kept nodes, read-only.
 
-    A quiet axis has the one node 0; a folded grid has the nodes with t_p >= 0, those off
-    the axis weighted for themselves and their mirrors (t_x, -t_p).  Kept are all but the
-    lightest nodes, whose weights sum to at most _DROPPED_MASS: every entry of a unit
-    column has |c_m c_n| <= 1, so no entry of the sum moves by more.  The sort is stable,
-    so the same nodes go for the same weights.
+    The one reader of the Gauss-Hermite rule, and its one cache: a noisy axis has numpy's
+    ``nodes``-point nodes t with probability weights w / sqrt(pi), computed once per table
+    and only when an axis is noisy; a quiet axis has the one node 0 of weight 1.  A folded
+    grid has the nodes with t_p >= 0, those off the axis weighted for themselves and their
+    mirrors (t_x, -t_p).  Kept are all but the lightest nodes, whose weights sum to at most
+    _DROPPED_MASS: every entry of a unit column has |c_m c_n| <= 1, so no entry of the sum
+    moves by more.  The sort is stable, so the same nodes go for the same weights.
     """
-    grid = QuadratureGrid(nodes)
-    (tx, ux), (tp, up) = (grid.axis_nodes(float(noisy)) for noisy in (noisy_x, noisy_p))
+    quiet = noisy = np.zeros(1), np.ones(1)
+    if noisy_x or noisy_p:
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        noisy = t, w / math.sqrt(math.pi)
+    (tx, ux), (tp, up) = (noisy if axis else quiet for axis in (noisy_x, noisy_p))
     if folded:  # the Gauss-Hermite rule is mirror-symmetric to the bit
         tp, up = tp[tp >= 0], np.where(tp > 0, 2 * up, up)[tp >= 0]
     weights = np.outer(ux, up).ravel()

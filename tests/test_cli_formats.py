@@ -82,10 +82,10 @@ def test_squeezed_variance(capsys, fmt, n, m, r):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("n, m, l", [(1, 2, 4), (2, 3, 7), (3, 3, 3)])
+@pytest.mark.parametrize("n, m, l", [(1, 2, 4), (2, 3, 7), (3, 3, 3), (1, 2, INF), (2, 4, INF)])
 def test_cascade(capsys, fmt, n, m, l):
     composed, optimal = noise(n, m) + noise(m, l), noise(n, l)
-    fields = {"n": n, "m": str(m), "l": l, "composed": float(composed),
+    fields = {"n": n, "m": str(m), "l": str(l), "composed": float(composed),
               "optimal": float(optimal), "match": composed == optimal}
     text = f"composed {with_exact(composed)}, optimal {with_exact(optimal)}, match=true"
     argv = ["cascade", str(n), str(m), str(l), "--format", fmt]

@@ -104,7 +104,6 @@ CASES = [
     (simulate_joint_measurement, (0.5, CoherentState(0), 8, 42), (REAL, None, SIZE, SEED)),
     (simulate_heterodyne_estimate, (1j, 2, 8, 42), (REAL, SIZE, SIZE, SEED)),
     (QuadratureGrid, (2,), (SIZE,)),
-    (QuadratureGrid(3).axis_nodes, (0.5,), (REAL,)),
     (FockVector, (1, [1.0, 0.0]), (SIZE, None)),
     (DensityMatrix, (1, np.eye(2) / 2), (SIZE, None)),
     (squeeze_fock_matrix, (0.5, 32), (REAL, SIZE)),

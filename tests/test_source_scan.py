@@ -29,10 +29,12 @@ a quarter for x, so ``_GENERATORS`` has no "x" and the quarter-turn phase
 table is written once.  It averages its shifts in closed form, so
 ``_shift_channel`` takes no grid: ``_projector_sum`` alone reads the
 Gauss-Hermite rule, through one cached table of kept nodes, ``_kept_grid``,
-and the masks ``_kept_nodes`` and ``_kept_mask`` are gone.  ``_projector_sum``
-is one block with no loop, which ``_fock_columns`` writes row by row, so no
-``concatenate`` stacks it, and the chunk size ``_CHUNK`` and the
-``_cascaded_density`` helper are gone.
+which holds the one call of numpy's ``hermgauss`` in the package; the masks
+``_kept_nodes`` and ``_kept_mask``, the second cache ``_hermgauss`` with its
+size ``_GRID_CACHE``, and ``QuadratureGrid.axis_nodes`` are gone.
+``_projector_sum`` is one block with no loop, which ``_fock_columns`` writes
+row by row, so no ``concatenate`` stacks it, and the chunk size ``_CHUNK``
+and the ``_cascaded_density`` helper are gone.
 """
 
 import ast
@@ -176,16 +178,17 @@ def test_fock_oracle_has_one_truncation_verdict():
     assert raises == [("_check_truncation", "not value <= limit")]
 
 
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls in ``tree`` of a function or method named ``name``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, attr, None) for attr in ("id", "attr"))]
+
+
 def test_one_route_builds_the_fock_columns():
     sources = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "fock_oracle.py" in sources
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and "squeeze_fock_matrix" in (getattr(node.func, attr, None) for attr in ("id", "attr"))
-    ]
+    calls = [f"{path.name}:{node.lineno}" for path in sources
+             for node in _calls(ast.parse(path.read_text()), "squeeze_fock_matrix")]
     assert calls == []
     assert [path.name for path in sources if "_squeezed_frame" in path.read_text()] == []
 
@@ -209,6 +212,13 @@ def test_quarter_turn_table_is_written_once():
     assert hits == ["fock_oracle.py"]
 
 
+def test_kept_grid_alone_reads_the_rule():
+    calls = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for _ in _calls(ast.parse(path.read_text()), "hermgauss")]
+    assert calls == ["fock_oracle.py"]
+    assert len(_calls(_oracle_definition("_kept_grid"), "hermgauss")) == 1
+
+
 def test_projector_sum_is_one_block():
     loops = [ast.unparse(node) for node in ast.walk(_oracle_definition("_projector_sum"))
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
@@ -217,6 +227,7 @@ def test_projector_sum_is_one_block():
 
 @pytest.mark.parametrize("name", [
     "_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances", "_kept_nodes", "_kept_mask",
+    "_hermgauss", "_GRID_CACHE", "axis_nodes",
 ])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))

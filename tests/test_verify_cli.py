@@ -61,11 +61,13 @@ class TestVerifySuites:
         assert calls == []
         assert verify_fock().overall and calls
 
-    def test_a_second_fock_suite_adds_no_cache_misses(self):
-        caches = (fock_oracle._hermgauss, fock_oracle._kept_grid, fock_oracle._spectrum)
-        verify_fock()
+    @pytest.mark.parametrize("suite", [verify_fock, lambda: verify_mc(samples=1000)],
+                             ids=["verify_fock", "verify_mc"])
+    def test_a_second_fock_suite_adds_no_cache_misses(self, suite):
+        caches = (fock_oracle._kept_grid, fock_oracle._spectrum, estimation_bounds._outcome_pmfs)
+        suite()
         misses = [cache.cache_info().misses for cache in caches]
-        verify_fock()
+        suite()
         assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
