@@ -10,7 +10,7 @@ from), and the cascade channel, which averages its Gaussian shifts in closed
 form on one cached real eigh of the p-shift generator H = a^dag + a,
 D(i b) = V exp(i b lam) V^T; a real shift is that one turned by a quarter,
 D(b) = R^dag D(i b) R with R = diag(i^n).  The channel takes no grid: the
-projector sum is the one reader of the Gauss-Hermite rule.
+mixture builder is the one reader of the Gauss-Hermite rule.
 
 The displacement integral for a mixture with per-quadrature noise
 (var_x, var_p) around a center amplitude alpha is
@@ -46,7 +46,7 @@ and rho is read off the blocks of B B^T, so rho is Hermitian to the bit.  A
 center on the real axis is its own mirror, the column at conj(a) being
 conj(c), so its rho is the real Re Re^T + Im Im^T over the nodes with
 t_p >= 0, half the columns and a quarter of the product; a coherent center
-under isotropic noise is built there, at |alpha|, and turned (_projector_sum).
+under isotropic noise is built there, at |alpha|, and turned (_turn).
 Every column comes from that one builder: a coherent center is the squeezed
 center with r = 0, and a pure state is the zero-noise mixture, the one-node rule.
 
@@ -58,10 +58,9 @@ a column's floats fail, it raises DomainError; below, the verdicts decide.
 What the cutoff or the default grid loses is judged in one place,
 _check_truncation, which raises TruncationError on a value above its limit
 or NaN.  It judges five quantities: the norm lost by a state vector, the
-trace lost by a mixture (and by the cascade check's summed mixture), each
-homodyne pmf's miss of trace(rho), the default grid's 0.5 f^n, all against
-DEFAULT_EPS_TRUNC; and the leak of the squeeze operator's S(r)|0> into the
-top third of its basis, against _SQUEEZE_TAIL_TOL.
+trace lost by a mixture, each homodyne pmf's miss of trace(rho), the default
+grid's 0.5 f^n, all against DEFAULT_EPS_TRUNC; and the leak of the squeeze
+operator's S(r)|0> into the top third of its basis, against _SQUEEZE_TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -379,20 +378,28 @@ def _turn(rho: np.ndarray, phi: float) -> np.ndarray:
     return rho * np.where(k < 0, turn.conj(), turn)
 
 
-def _projector_sum(
-    center: SqueezedState, noise: NoiseCovariance, grid: Optional[QuadratureGrid], cutoff: int
-) -> np.ndarray:
-    """The center's projector averaged over the grid's displacements of the noise.
+def mixture_density_matrix(
+    mixture: GaussianMixtureState,
+    cutoff: Optional[int] = None,
+    grid: Optional[QuadratureGrid] = None,
+) -> DensityMatrix:
+    """Density operator of a Gaussian displacement mixture: the center's projector
+    averaged over the grid's displacements of the noise.
 
-    Without a grid it takes the one its noise needs, _default_grid.  With c_k
-    the kept nodes' columns D(a_k) S(r)|0>, scaled by sqrt(w_k), and
-    B = [Re c; Im c] as _fock_columns writes it, sum_k w_k c_k c_k^dag is
-    (G_rr + G_ii) + i (G_ir - G_ri) for G = B B^T, written straight into the
-    real and imaginary parts of rho.  B is one block: the largest grid keeps
-    9636 nodes.  A center on the real axis sums each mirror pair c, conj(c) as
-    2 Re(c c^dag) on the folded grid, so rho is the real G_rr + G_ii.  Isotropic
-    noise turns with a coherent center: that rho is built at |alpha| and turned.
+    Without a grid it takes the one its noise needs, _default_grid; zero noise is
+    the one-node rule, the pure projector.  With c_k the kept nodes' columns
+    D(a_k) S(r)|0>, scaled by sqrt(w_k), and B = [Re c; Im c] as _fock_columns
+    writes it, sum_k w_k c_k c_k^dag is (G_rr + G_ii) + i (G_ir - G_ri) for
+    G = B B^T, written straight into the real and imaginary parts of rho.  B is
+    one block: the largest grid keeps 9636 nodes.  A center on the real axis sums
+    each mirror pair c, conj(c) as 2 Re(c c^dag) on the folded grid, so rho is the
+    real G_rr + G_ii.  Isotropic noise turns with a coherent center: that rho is
+    built at |alpha| and turned.
     """
+    _check_type("mixture", mixture, GaussianMixtureState)
+    center, noise = mixture.center, mixture.noise
+    cutoff = default_cutoff(center, noise) if cutoff is None else cutoff
+    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
     if grid is None:
         grid = _default_grid(center, noise)
     _check_type("grid", grid, QuadratureGrid)
@@ -407,29 +414,13 @@ def _projector_sum(
     block = _fock_columns(alpha + (bx + 1j * bp), center.r, cutoff, roots)
     if folded:  # symmetric products on the contiguous halves Re and Im
         rho = block[:d] @ block[:d].T + block[d:] @ block[d:].T
-        return _turn(rho, phi) if phi else rho
-    gram = block @ block.T
-    rho = np.empty((d, d), dtype=complex)
-    np.add(gram[:d, :d], gram[d:, d:], out=rho.real)
-    np.subtract(gram[d:, :d], gram[:d, d:], out=rho.imag)
-    return rho
-
-
-def mixture_density_matrix(
-    mixture: GaussianMixtureState,
-    cutoff: Optional[int] = None,
-    grid: Optional[QuadratureGrid] = None,
-) -> DensityMatrix:
-    """Density operator of a Gaussian displacement mixture.
-
-    Sums the center's displaced projectors over the grid, by default the
-    grid its noise needs (_default_grid); zero noise is the one-node rule,
-    the pure projector.
-    """
-    _check_type("mixture", mixture, GaussianMixtureState)
-    cutoff = default_cutoff(mixture.center, mixture.noise) if cutoff is None else cutoff
-    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    rho = _projector_sum(mixture.center, mixture.noise, grid, cutoff)
+        rho = _turn(rho, phi) if phi else rho
+    else:
+        gram = block @ block.T
+        rho = np.empty((d, d), dtype=complex)
+        np.add(gram[:d, :d], gram[d:, d:], out=rho.real)
+        np.subtract(gram[d:, :d], gram[:d, d:], out=rho.imag)
+    del block  # the largest array here: free it before DensityMatrix copies rho
     _check_truncation("the trace lost by the mixture", 1.0 - float(np.trace(rho).real),
                       DEFAULT_EPS_TRUNC, cutoff)
     return DensityMatrix(cutoff, rho)
@@ -486,34 +477,30 @@ def cascade_density_check(
 ) -> float:
     """Max-abs entrywise gap between a cascaded channel and summed-noise mixing.
 
-    Route one builds the first mixture's rho at the cutoff, puts it into a
-    basis of _PADDING * (cutoff + 1) states, and applies the second noise as
-    an operator channel on it there: the Gaussian average of D(b) rho D(b)^dag
-    over the x-shifts, then over the p-shifts, both in closed form on the one
-    real spectrum of the p generator (_shift_channel).  The padding keeps the
-    truncation edge of the shift operators far from the compared block.  Route
-    two builds a single mixture with the componentwise noise sum at the
-    cutoff, and the two are compared on the (cutoff + 1)^2 block.  Agreement
-    certifies that cascaded cloners convolve, i.e. variances add; a channel
-    with its axes swapped misses on anisotropic noise.  Coherent and squeezed
-    centers run the same code.  Both mixtures take ``grid``, by default each
-    the grid its noise needs (_default_grid).  A cutoff whose block drops more
-    than DEFAULT_EPS_TRUNC of the summed trace raises TruncationError; the
-    first mixture, with less noise, drops less.
+    Both routes are mixture_density_matrix builds on ``grid``, by default each
+    the grid its noise needs (_default_grid), and the summed one is built and
+    judged first.  Route two is the single mixture with the componentwise noise
+    sum, at ``cutoff`` or its default cutoff; a cutoff whose block drops more
+    than DEFAULT_EPS_TRUNC of its trace raises TruncationError there.  Route one
+    builds the first mixture at that cutoff (with less noise, it drops less),
+    puts it into a basis of _PADDING * (cutoff + 1) states, and applies the
+    second noise as an operator channel on it there: the Gaussian average of
+    D(b) rho D(b)^dag over the x-shifts, then over the p-shifts, both in closed
+    form on the one real spectrum of the p generator (_shift_channel).  The
+    padding keeps the truncation edge of the shift operators far from the
+    compared block, the (cutoff + 1)^2 one.  Agreement certifies that cascaded
+    cloners convolve, i.e. variances add; a channel with its axes swapped misses
+    on anisotropic noise.  Coherent and squeezed centers run the same code.
     """
-    _check_type("center", center, SqueezedState)
-    total = add_noise(noise_first, noise_second)
-    cutoff = default_cutoff(center, total) if cutoff is None else cutoff
-    _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    d = cutoff + 1
+    summed = mixture_density_matrix(
+        GaussianMixtureState(center, add_noise(noise_first, noise_second)), cutoff, grid)
+    d = summed.cutoff + 1
     rho_cascaded = np.zeros((_PADDING * d,) * 2, dtype=complex)
-    rho_cascaded[:d, :d] = _projector_sum(center, noise_first, grid, cutoff)
+    rho_cascaded[:d, :d] = mixture_density_matrix(
+        GaussianMixtureState(center, noise_first), summed.cutoff, grid).matrix
     rho_cascaded = _shift_channel(rho_cascaded, "x", noise_second.var_x)
     rho_cascaded = _shift_channel(rho_cascaded, "p", noise_second.var_p)
-    rho_summed = _projector_sum(center, total, grid, cutoff)
-    _check_truncation("the trace lost by the summed mixture",
-                      1.0 - float(np.trace(rho_summed).real), DEFAULT_EPS_TRUNC, cutoff)
-    return float(np.max(np.abs(rho_cascaded[:d, :d] - rho_summed)))
+    return float(np.max(np.abs(rho_cascaded[:d, :d] - summed.matrix)))
 
 
 class QuadratureMoments(NamedTuple):

@@ -28,6 +28,7 @@ from sgclone import (
     squeezed_variant,
 )
 from sgclone import fock_oracle
+from sgclone.verify import ADDITIVITY_PAIRS
 
 FAST_GRID = QuadratureGrid(21)
 #: The default grid's double.
@@ -61,6 +62,11 @@ def truncated(quantity):
 def make_mixture(alpha, var_x, var_p=None):
     var_p = var_x if var_p is None else var_p
     return GaussianMixtureState(CoherentState(alpha), NoiseCovariance(var_x, var_p))
+
+
+def built_rho(center, noise, grid, cutoff):
+    """The matrix mixture_density_matrix builds for ``center`` under ``noise``."""
+    return mixture_density_matrix(GaussianMixtureState(center, noise), cutoff, grid).matrix
 
 
 class TestTruncationVerdict:
@@ -395,7 +401,7 @@ class TestCascadeDensityCheck:
         half, noise = NoiseCovariance(0.5, 0.5), NoiseCovariance(second, second)
         cutoff = default_cutoff(CoherentState(0), add_noise(half, noise))
         d = cutoff + 1
-        rho = fock_oracle._projector_sum(CoherentState(0), half, QuadratureGrid(), 2 * d - 1)
+        rho = built_rho(CoherentState(0), half, QuadratureGrid(), 2 * d - 1)
         rho = fock_oracle._shift_channel(rho, "x", noise.var_x)
         rho = fock_oracle._shift_channel(rho, "p", noise.var_p)[:d, :d]
         nbar = 0.5 + second
@@ -419,8 +425,40 @@ class TestCascadeDensityCheck:
         half = NoiseCovariance(0.5, 0.5)
         with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
             mixture_density_matrix(GaussianMixtureState(CoherentState(10), add_noise(half, half)), 4)
-        with pytest.raises(TruncationError, match=truncated("the trace lost by the summed mixture")):
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
             cascade_density_check(CoherentState(10), half, half, 4, FAST_GRID)
+
+    @pytest.mark.parametrize("cutoff, grid", [(None, None), (40, FAST_GRID)])
+    def test_both_routes_are_mixture_builds(self, monkeypatch, cutoff, grid):
+        calls = []
+        build = fock_oracle.mixture_density_matrix
+
+        def recorded(mixture, cutoff=None, grid=None):
+            rho = build(mixture, cutoff, grid)
+            calls.append((mixture, cutoff, grid, rho.cutoff))
+            return rho
+
+        monkeypatch.setattr(fock_oracle, "mixture_density_matrix", recorded)
+        center, first, second = ANISOTROPIC_CASCADE
+        cascade_density_check(center, first, second, cutoff, grid)
+        total = add_noise(first, second)
+        summed_cutoff = default_cutoff(center, total) if cutoff is None else cutoff
+        # the summed mixture first, as the caller asked; then the first noise at its cutoff
+        assert calls == [(GaussianMixtureState(center, total), cutoff, grid, summed_cutoff),
+                         (GaussianMixtureState(center, first), summed_cutoff, grid, summed_cutoff)]
+
+    @pytest.mark.parametrize("first, second", [
+        pair for pair in ADDITIVITY_PAIRS if not pair[1].is_zero])
+    def test_route_one_at_the_summed_noise_fails(self, monkeypatch, first, second):
+        # a check that built both routes from one mixture would compare a state with itself
+        build = fock_oracle.mixture_density_matrix
+        total = add_noise(first, second)
+
+        def faulty(mixture, cutoff=None, grid=None):
+            return build(GaussianMixtureState(mixture.center, total), cutoff, grid)
+
+        monkeypatch.setattr(fock_oracle, "mixture_density_matrix", faulty)
+        assert cascade_density_check(CoherentState(0j), first, second) > 1e-3
 
     def test_doubled_padding_does_not_move_the_gap(self, monkeypatch):
         half = NoiseCovariance(0.5, 0.5)
@@ -453,9 +491,9 @@ class TestCascadeDensityCheck:
         cutoff = default_cutoff(center, add_noise(first, second))
         d = cutoff + 1
         grid = QuadratureGrid()
-        padded = fock_oracle._projector_sum(center, first, grid, fock_oracle._PADDING * d - 1)
+        padded = built_rho(center, first, grid, fock_oracle._PADDING * d - 1)
         at_cutoff = np.zeros_like(padded)
-        at_cutoff[:d, :d] = fock_oracle._projector_sum(center, first, grid, cutoff)
+        at_cutoff[:d, :d] = built_rho(center, first, grid, cutoff)
         for axis, variance in (("x", second.var_x), ("p", second.var_p)):
             padded = fock_oracle._shift_channel(padded, axis, variance)
             at_cutoff = fock_oracle._shift_channel(at_cutoff, axis, variance)
@@ -605,6 +643,11 @@ class TestDensityMatrixType:
         with pytest.raises(DomainError):
             make()
 
+    def test_vector_above_unit_norm_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="amplitudes exceed unit norm"):
+            FockVector(1, [1, 1e-5])  # norm 1 + 1e-10
+        assert FockVector(1, [1, 1e-7]).norm_sq > 1  # 1 + 1e-14 is rounding, within 1e-12
+
     def test_overflowing_hermiticity_defect_is_a_domain_error(self):
         with pytest.raises(DomainError):
             DensityMatrix(1, [[0, 1e308], [-1e308, 0]])
@@ -698,7 +741,7 @@ class TestProjectorSum:
         # sums the grid turned with its centre, off this one by about 0.5 (1/3)^41 = 1e-20
         grid = QuadratureGrid(nodes)
         cutoff = default_cutoff(center, noise)
-        got = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        got = built_rho(center, noise, grid, cutoff)
         want = _reference_projector_sum(center, noise, grid, cutoff)
         assert np.max(np.abs(got - want)) <= tolerance
 
@@ -797,11 +840,11 @@ class TestProjectorSum:
         turn = fock_oracle._turn
         monkeypatch.setattr(fock_oracle, "_turn", lambda rho, phi: turns.append(phi) or turn(rho, phi))
         cutoff = default_cutoff(center, noise)
-        rho = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        rho = built_rho(center, noise, grid, cutoff)
         assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-13
         # a real-axis centre's rho is the real Gram; a turned one turns by the phase of alpha
         assert turns == pytest.approx([np.angle(center.alpha)] * turned, abs=1e-15)
-        assert np.isrealobj(rho) != turned
+        assert np.all(rho.imag == 0) == (not turned)
 
     @pytest.mark.parametrize("var_x, var_p", [(0.7, 0.3), (0, 0.3), (0.7, 0), (0, 0)])
     def test_cached_mask_is_kept_nodes_of_the_weights(self, var_x, var_p):
@@ -831,7 +874,7 @@ class TestProjectorSum:
                 row = (_shift_operator(dim, "x", alpha.real) @ _shift_operator(dim, "p", alpha.imag)
                        @ squeezed_vacuum)[: cutoff + 1]
                 want += u * v * np.outer(row, row.conj())
-        got = fock_oracle._projector_sum(center, noise, grid, cutoff)
+        got = built_rho(center, noise, grid, cutoff)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -875,13 +918,13 @@ class TestDefaultGrid:
         grid = fock_oracle._default_grid(center, noise)
         if grid.nodes_per_axis > fock_oracle.DEFAULT_NODES:
             # 41 nodes leave these above 1e-8, so 101 are no reference: the exact rho is.
-            rho = fock_oracle._projector_sum(center, noise, grid, cutoff)
+            rho = built_rho(center, noise, grid, cutoff)
             assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-8
             return
-        want = fock_oracle._projector_sum(center, noise, QuadratureGrid(101), cutoff)
+        want = built_rho(center, noise, QuadratureGrid(101), cutoff)
 
         def error(g):
-            return np.max(np.abs(fock_oracle._projector_sum(center, noise, g, cutoff) - want))
+            return np.max(np.abs(built_rho(center, noise, g, cutoff) - want))
 
         assert error(grid) <= max(2e-15, error(QuadratureGrid()))
 
@@ -961,7 +1004,7 @@ class TestExactReference:
     def test_matches_a_101_node_build(self):
         center, noise = CoherentState(1 + 1j), NoiseCovariance(1, 0.25)
         cutoff = default_cutoff(center, noise)
-        rho = fock_oracle._projector_sum(center, noise, QuadratureGrid(101), cutoff)
+        rho = built_rho(center, noise, QuadratureGrid(101), cutoff)
         assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-13
 
     # Squeezed centres under noise not squeezed with them: 41 nodes miss the first

@@ -27,14 +27,16 @@ squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
 cascade channel reads one real spectrum, of the p generator, and turns rho by
 a quarter for x, so ``_GENERATORS`` has no "x" and the quarter-turn phase
 table is written once.  It averages its shifts in closed form, so
-``_shift_channel`` takes no grid: ``_projector_sum`` alone reads the
-Gauss-Hermite rule, through one cached table of kept nodes, ``_kept_grid``,
-which holds the one call of numpy's ``hermgauss`` in the package; the masks
-``_kept_nodes`` and ``_kept_mask``, the second cache ``_hermgauss`` with its
-size ``_GRID_CACHE``, and ``QuadratureGrid.axis_nodes`` are gone.
-``_projector_sum`` is one block with no loop, which ``_fock_columns`` writes
-row by row, so no ``concatenate`` stacks it, and the chunk size ``_CHUNK``
-and the ``_cascaded_density`` helper are gone.
+``_shift_channel`` takes no grid: ``mixture_density_matrix``, which both
+routes of the cascade check call, alone reads the Gauss-Hermite rule,
+through one cached table of kept nodes, ``_kept_grid``, which holds the one
+call of numpy's ``hermgauss`` in the package; the masks ``_kept_nodes`` and
+``_kept_mask``, the second cache ``_hermgauss`` with its size
+``_GRID_CACHE``, ``QuadratureGrid.axis_nodes`` and the private projector sum
+``_projector_sum`` are gone.  ``mixture_density_matrix`` sums one block with
+no loop, which ``_fock_columns`` writes row by row, so no ``concatenate``
+stacks it, and the chunk size ``_CHUNK`` and the ``_cascaded_density``
+helper are gone.
 """
 
 import ast
@@ -220,14 +222,14 @@ def test_kept_grid_alone_reads_the_rule():
 
 
 def test_projector_sum_is_one_block():
-    loops = [ast.unparse(node) for node in ast.walk(_oracle_definition("_projector_sum"))
+    loops = [ast.unparse(node) for node in ast.walk(_oracle_definition("mixture_density_matrix"))
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
 
 
 @pytest.mark.parametrize("name", [
     "_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances", "_kept_nodes", "_kept_mask",
-    "_hermgauss", "_GRID_CACHE", "axis_nodes",
+    "_hermgauss", "_GRID_CACHE", "axis_nodes", "_projector_sum",
 ])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
@@ -242,6 +244,6 @@ def test_shift_channel_takes_no_grid():
 
 
 def test_projector_sum_stacks_no_block():
-    calls = [ast.unparse(node) for node in ast.walk(_oracle_definition("_projector_sum"))
+    calls = [ast.unparse(node) for node in ast.walk(_oracle_definition("mixture_density_matrix"))
              if isinstance(node, ast.Call) and "concatenate" in ast.unparse(node.func)]
     assert calls == []
