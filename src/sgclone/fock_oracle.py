@@ -2,65 +2,51 @@
 
 Everything here rebuilds states and operators numerically, independently of
 the closed-form layer: displaced squeezed vectors D(alpha) S(r)|0> from one
-three-term recurrence in the number basis, exact entry by entry (a coherent
-vector is the r = 0 column), mixtures by Gauss-Hermite integration over the
-displacement distribution, moments read off three diagonals of rho, homodyne
-pmfs of x and p on a grid of bins (what the Monte Carlo simulations draw
-from), and the cascade channel, which averages its Gaussian shifts in closed
-form on one cached real eigh of the p-shift generator H = a^dag + a,
-D(i b) = V exp(i b lam) V^T; a real shift is that one turned by a quarter,
-D(b) = R^dag D(i b) R with R = diag(i^n).  The channel takes no grid: the
-mixture builder is the one reader of the Gauss-Hermite rule.
+three-term recurrence in the number basis, exact entry by entry, mixtures
+exactly or as Gauss-Hermite projector sums, moments read off three diagonals
+of rho, homodyne pmfs of x and p on a grid of bins (what the Monte Carlo
+simulations draw from), and the cascade channel, which averages its Gaussian
+shifts in closed form on one cached real eigh of the p-shift generator
+H = a^dag + a, D(i b) = V exp(i b lam) V^T, and D(b) = R^dag D(i b) R with R = diag(i^n).
 
-The displacement integral for a mixture with per-quadrature noise
-(var_x, var_p) around a center amplitude alpha is
+A mixture is the Gaussian state of the centre's mean (m_x, m_p) and the
+diagonal covariance V = v + n, centre plus noise.  With S = V + 1/2 per axis,
+its Bargmann function <<z| rho |w>> is G00 exp(b.x + x^T A x / 2) in
+x = (conj z, w) (Miatto and Quesada, Quantum 4, 366 (2020)), with
+A = [[a, c], [c, a]], a = (1/S_p - 1/S_x)/2, c = 1 - (1/S_x + 1/S_p)/2,
+b = (beta, conj beta), beta = (m_x/S_x + i m_p/S_p)/sqrt(2) and
+G00 = exp(-(m_x^2/S_x + m_p^2/S_p)/2) / sqrt(S_x S_p).  Let u be the lone Fock
+column of c_0 exp(beta z + a z^2/2), c_0 = G00^(1/2).  Expanding the cross term
+exp(c conj(z) w) = sum_k (c conj(z) w)^k / k!, and z^k sum_j u_j z^j / sqrt(j!)
+has the coefficient sqrt(m! / (m-k)!) u_(m-k) at z^m / sqrt(m!), so
 
-    rho = (1/pi) sum_jk w_j w_k P(alpha + sqrt(var_x) t_j + i sqrt(var_p) t_k)
+    rho = W W^dag,  W[m, k] = sqrt(binom(m, k)) c^(k/2) u_(m-k),
 
-with (t, w) the Gauss-Hermite nodes and weights and P(.) the coherent
-projector.  The integrand is a Gaussian times entire overlap factors, so
-the tensor rule converges spectrally: the n-node rule misses by about
-0.5 f^n, with f the larger over the axes of V / (V + Q), V the noise's
-variance and Q the center's variance plus the smaller of it and 1/2.  On
-a coherent or stretched axis Q is the center's Husimi variance (1 for a
-coherent center); on a squeezed axis it is twice the center's variance,
-as the error there falls more slowly than the Husimi width says.  The
-default grid, _default_grid, takes the fewest nodes that bring 0.5 f^n
-under _GRID_EPS = 1e-16, at most DEFAULT_NODES = 41: 19 for noise 1/6
-around a coherent center, 33 for noise 1/2 and all 41 from noise 1 on,
-where the 41-node rule misses by about 1e-13.  Where 41 nodes leave 0.5 f^n
-above DEFAULT_EPS_TRUNC (a squeezed center under noise not squeezed with
-it) it takes the fewest up to NODES_LIMIT = 370 that bring it under.  A
-degenerate axis (variance 0) collapses to a single node so pure limits are
-reproduced without quadrature error.  The lightest nodes, whose weights sum
-to at most _DROPPED_MASS = 1e-18, are skipped: no entry of rho moves by more
-(955 of the 1681 nodes of the 41-node grid are kept, 344 of the 361 of the
-19-node grid, 495 of the 861 with t_p >= 0 of the folded 41-node grid).  One
-cached table per node count, noisy axes and fold, _kept_grid, holds the kept
-nodes' unit offsets and root weights; it alone reads numpy's hermgauss, once
-per table and only for a noisy axis, and QuadratureGrid is just the count.
+exact on the cutoff block, as k <= min(m, n) there; the roots come from one
+table, _pascal_roots.  As v_x v_p = 1/4, c = (V_x n_p + n_x v_p) / (S_x S_p):
+in [0, 1), 0 for a pure state, and no difference of near-equal numbers.  The
+sum runs over d = cutoff + 1 columns, not hundreds of quadrature nodes.
 
-The sum is built of real symmetric products: _fock_columns writes the
-columns D(alpha_k) S(r)|0>, scaled by sqrt(w), row by row into B = [Re; Im],
-and rho is read off the blocks of B B^T, so rho is Hermitian to the bit.  A
-center on the real axis is its own mirror, the column at conj(a) being
-conj(c), so its rho is the real Re Re^T + Im Im^T over the nodes with
-t_p >= 0, half the columns and a quarter of the product; a coherent center
+Given a grid, rho is the paper's mixture by definition, the projector sum
+(1/pi) sum_jk w_j w_k P(alpha + sqrt(n_x) t_j + i sqrt(n_p) t_k) over the
+Gauss-Hermite nodes t and weights w, the route the exact build is checked
+against.  The kept nodes of each grid, all but the lightest (_DROPPED_MASS),
+are one cached table, _kept_grid, the one reader of numpy's hermgauss.
+
+Both routes put their columns, W's or the nodes' sqrt(w) D(a) S(r)|0> from
+_fock_columns, into B = [Re; Im] and read rho off the blocks of the real
+B B^T, Hermitian to the bit.  A centre on the real axis has a real W, and a
+projector sum that is its own mirror: the column at conj(a) is conj(c), so
+rho is Re Re^T + Im Im^T over the nodes with t_p >= 0.  A coherent centre
 under isotropic noise is built there, at |alpha|, and turned (_turn).
-Every column comes from that one builder: a coherent center is the squeezed
-center with r = 0, and a pure state is the zero-noise mixture, the one-node rule.
 
-The default cutoff, ceil((|alpha| + sqrt(V ln(1/eps)))^2) with V the larger
-variance of the clone's total covariance, leaves about eps = 1e-12 of the
-trace above it, four decades under DEFAULT_EPS_TRUNC.  Past |r| = 14.7, where
-a column's floats fail, it raises DomainError; below, the verdicts decide.
-
-What the cutoff or the default grid loses is judged in one place,
-_check_truncation, which raises TruncationError on a value above its limit
-or NaN.  It judges five quantities: the norm lost by a state vector, the
-trace lost by a mixture, each homodyne pmf's miss of trace(rho), the default
-grid's 0.5 f^n, all against DEFAULT_EPS_TRUNC; and the leak of the squeeze
-operator's S(r)|0> into the top third of its basis, against _SQUEEZE_TAIL_TOL.
+The default cutoff leaves about _TAIL_EPS = 1e-12 of the trace above it,
+four decades under DEFAULT_EPS_TRUNC.  One verdict, _check_truncation, raises
+TruncationError on a loss above its limit or NaN: the norm lost by a state
+vector, the trace lost by a mixture and each homodyne pmf's miss of
+trace(rho), against DEFAULT_EPS_TRUNC, and the leak of the squeeze operator's
+S(r)|0> into the top third of its basis, against _SQUEEZE_TAIL_TOL.  A state
+vector past |r| = 14.7, where its floats fail, raises DomainError.
 """
 
 from __future__ import annotations
@@ -101,8 +87,6 @@ _SQUEEZE_TAIL_TOL = 1e-5
 _TAIL_EPS = 1e-12
 #: Largest total weight of the grid nodes a projector sum may skip.
 _DROPPED_MASS = 1e-18
-#: Quadrature error the default grid aims at, the rounding floor of a unit trace.
-_GRID_EPS = 1e-16
 #: The cascade channel runs in a basis this many times the cutoff block, so
 #: the truncation edge of its shift operators stays far from that block.
 _PADDING = 2
@@ -134,12 +118,8 @@ def _quarter_turn(rho: np.ndarray, k: int) -> np.ndarray:
 
 
 class QuadratureGrid(_Value):
-    """The node count per axis of a tensor Gauss-Hermite grid, from 2 to NODES_LIMIT.
-
-    Without an argument it has DEFAULT_NODES per axis, the most that
-    _default_grid gives a mixture whose error model reaches 1e-16 there.
-    Its nodes and weights are read only by _kept_grid.
-    """
+    """The node count per axis of a tensor Gauss-Hermite grid, 2 to NODES_LIMIT, DEFAULT_NODES
+    by default; its nodes and weights are read only by _kept_grid."""
 
     __slots__ = ("nodes_per_axis",)
 
@@ -222,27 +202,6 @@ def default_cutoff(center: SqueezedState, noise: Optional[NoiseCovariance] = Non
     return math.ceil(min(reach, math.sqrt(CUTOFF_MAX)) ** 2)
 
 
-def _default_grid(center: SqueezedState, noise: NoiseCovariance) -> QuadratureGrid:
-    """The grid of the fewest nodes n, at most DEFAULT_NODES, with 0.5 f^n <= _GRID_EPS.
-
-    f is the larger over the axes of V / (V + Q), V the noise's variance and Q the center's
-    variance q plus min(q, 1/2); the n-node rule misses rho by about 0.5 f^n.  Past 41 nodes n
-    is the fewest up to NODES_LIMIT with 0.5 f^n <= DEFAULT_EPS_TRUNC, which _check_truncation
-    judges.  Zero noise (f = 0) is the one-node rule, and noise so large that f rounds to 1 has
-    no n: both take DEFAULT_NODES, and the cutoff's verdict judges the latter.
-    """
-    f = max(float(v) / (float(v) + q + min(q, 0.5))
-            for v, q in zip((noise.var_x, noise.var_p), center.quadrature_variances()))
-    if not 0 < f < 1:
-        return QuadratureGrid()
-    fine, coarse = (math.ceil(math.log(2 * eps) / math.log(f))
-                    for eps in (_GRID_EPS, DEFAULT_EPS_TRUNC))
-    n = min(fine, max(coarse, DEFAULT_NODES), NODES_LIMIT)
-    _check_truncation("the quadrature error 0.5 f^n", 0.5 * f**n, DEFAULT_EPS_TRUNC, n,
-                      "node count")
-    return QuadratureGrid(max(2, n))
-
-
 def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     """B = [Re c; Im c] for the columns c = D(a) S(r)|0>, each exact, shape (2 (cutoff+1), K).
 
@@ -250,8 +209,7 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     c_0 = ``scale`` exp(-|a|^2/2 - conj(a)^2 t/2) / sqrt(cosh r), read off the Bargmann
     function c_0 exp(-t z^2/2 + b z) (Yuen, PRA 13, 2226 (1976)).  At r = 0 the t-terms
     vanish: this is the coherent column.  The recurrence steps through three complex rows,
-    each written into B as it is made; a lone column (K = 1) takes the same steps on
-    Python complex numbers, which cost a tenth of one-element numpy calls.
+    each written into B as it is made; a lone column (K = 1) takes _column's steps.
     """
     t = -math.tanh(r)
     # Past |r| = 14.7 c_0's exponent at the far cut, of size 1600 / (1 - |t|), rounds by over 1
@@ -272,10 +230,8 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     d = cutoff + 1
     block = np.empty((2 * d, alphas.size))
     if alphas.size == 1:
-        b, col = b.item(), [0j, c0.item()]  # c_{-1} = 0: sqrt(n - 1) zeroes it at n = 1
-        for n in range(1, d):
-            col.append((col[-1] * b - t * math.sqrt(n - 1) * col[-2]) * (1.0 / math.sqrt(n)))
-        block[:d, 0], block[d:, 0] = np.real(col[1:]), np.imag(col[1:])
+        col = _column(b.item(), t, c0.item(), d)
+        block[:d, 0], block[d:, 0] = np.real(col), np.imag(col)
         return block
     rows = np.empty((3, alphas.size), dtype=complex)
     rows[0] = c0
@@ -294,11 +250,20 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     return block
 
 
-def _check_truncation(what: str, value: float, limit: float, size: int, of="cutoff") -> None:
-    """The one verdict on what a cutoff or node count loses: above ``limit``, or NaN, it raises."""
+def _column(b: complex, t: float, c0: complex, d: int) -> list:
+    """c_0 ... c_{d-1} of c0 exp(-t z^2/2 + b z) in the number basis, c_n = (b c_{n-1} - t sqrt(n-1)
+    c_{n-2}) / sqrt(n), on Python complex numbers: a tenth of the cost of one-element numpy."""
+    col = [0j, c0]  # c_{-1} = 0: sqrt(n - 1) zeroes it at n = 1
+    for n in range(1, d):
+        col.append((col[-1] * b - t * math.sqrt(n - 1) * col[-2]) * (1.0 / math.sqrt(n)))
+    return col[1:]
+
+
+def _check_truncation(what: str, value: float, limit: float, cutoff: int) -> None:
+    """The one verdict on what a cutoff loses: above ``limit``, or NaN, it raises."""
     if not value <= limit:
         raise TruncationError(
-            f"{of} {size} is too small: {what} is {value:.3e}, above its limit {limit:.1e}"
+            f"cutoff {cutoff} is too small: {what} is {value:.3e}, above its limit {limit:.1e}"
         )
 
 
@@ -346,13 +311,11 @@ def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool, folded=False) -> tuple[
     """Unit offsets (t_x, t_p) and root weights sqrt(w) of a grid's kept nodes, read-only.
 
     The one reader of the Gauss-Hermite rule, and its one cache: a noisy axis has numpy's
-    ``nodes``-point nodes t with probability weights w / sqrt(pi), computed once per table
-    and only when an axis is noisy; a quiet axis has the one node 0 of weight 1.  A folded
-    grid has the nodes with t_p >= 0, those off the axis weighted for themselves and their
-    mirrors (t_x, -t_p).  Kept are all but the lightest nodes, whose weights sum to at most
-    _DROPPED_MASS: every entry of a unit column has |c_m c_n| <= 1, so no entry of the sum
-    moves by more.  The sort is stable, so the same nodes go for the same weights.
-    """
+    nodes t with probability weights w / sqrt(pi), a quiet axis the one node 0 of weight 1.
+    A folded grid has the nodes with t_p >= 0, those off the axis weighted for themselves and
+    their mirrors (t_x, -t_p).  Kept are all but the lightest nodes, whose weights sum to at
+    most _DROPPED_MASS; as |c_m c_n| <= 1 for a unit column, no entry of the sum moves by
+    more.  The sort is stable, so the same nodes go for the same weights."""
     quiet = noisy = np.zeros(1), np.ones(1)
     if noisy_x or noisy_p:
         t, w = np.polynomial.hermite.hermgauss(nodes)
@@ -370,6 +333,45 @@ def _kept_grid(nodes: int, noisy_x: bool, noisy_p: bool, folded=False) -> tuple[
     return table
 
 
+_pascal = np.ones((1, 1))
+
+
+def _pascal_roots(d: int) -> np.ndarray:
+    """sqrt(binom(m, k)) for m, k < d, 0 above the diagonal, by Pascal's rule in floats (within
+    2.5 ulps of the exact roots at d = 1025).  One table, kept at the largest d up to
+    CUTOFF_MAX + 1 asked for and sliced, holds at most 257^2 floats; a larger d builds its own."""
+    global _pascal
+    if d <= len(_pascal):
+        return _pascal[:d, :d]
+    table = np.zeros((d, d))
+    table[:, 0] = 1.0
+    for m in range(1, d):
+        table[m, 1:m + 1] = table[m - 1, :m] + table[m - 1, 1:m + 1]
+    np.sqrt(table, out=table)
+    table.setflags(write=False)
+    if d <= CUTOFF_MAX + 1:
+        _pascal = table
+    return table
+
+
+def _gaussian_factor(mixture: GaussianMixtureState, alpha: complex, d: int) -> np.ndarray:
+    """[Re W; Im W], or W if real, for the exact rho = W W^dag on d levels around ``alpha``
+    (the centre's, or its modulus to be turned), as the module docstring derives.  A mean so
+    far out that c_0 underflows makes u zero, never NaN, and the trace verdict refuses it."""
+    (_, v_p), (big_x, big_p) = mixture.center.quadrature_variances(), mixture.quadrature_variances()
+    n_x, n_p = float(mixture.noise.var_x), float(mixture.noise.var_p)
+    s_x, s_p, x, y = big_x + 0.5, big_p + 0.5, float(alpha.real), float(alpha.imag)
+    c = big_x / s_x * (n_p / s_p) + n_x / s_x * (v_p / s_p)
+    c0 = math.exp(-0.5 * (x * (x / s_x) + y * (y / s_p))) * s_x**-0.25 * s_p**-0.25
+    u = np.array(_column(complex(x / s_x, y / s_p), 0.5 * (1 / s_x - 1 / s_p), c0, d) if c0
+                 else [0j] * d)
+    padded = np.zeros((2 if y else 1, 2 * d - 1))
+    padded[:, d - 1:] = (u.real, u.imag) if y else u.real
+    # [h, m, k] = u_(m-k), and 0 for k > m: the lower-triangular Toeplitz matrix of u
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, d, axis=1)[:, :, ::-1]
+    return (toeplitz * (_pascal_roots(d) * c ** (0.5 * np.arange(d)))).reshape(-1, d)
+
+
 def _turn(rho: np.ndarray, phi: float) -> np.ndarray:
     """rho_mn e^{i phi k}, k = m - n, Hermitian to the bit: e^{-i phi k} is conj(e^{i phi k})."""
     n = np.arange(rho.shape[0])
@@ -384,36 +386,33 @@ def mixture_density_matrix(
     grid: Optional[QuadratureGrid] = None,
 ) -> DensityMatrix:
     """Density operator of a Gaussian displacement mixture: the center's projector
-    averaged over the grid's displacements of the noise.
+    averaged over the displacements of the noise.
 
-    Without a grid it takes the one its noise needs, _default_grid; zero noise is
-    the one-node rule, the pure projector.  With c_k the kept nodes' columns
-    D(a_k) S(r)|0>, scaled by sqrt(w_k), and B = [Re c; Im c] as _fock_columns
-    writes it, sum_k w_k c_k c_k^dag is (G_rr + G_ii) + i (G_ir - G_ri) for
-    G = B B^T, written straight into the real and imaginary parts of rho.  B is
-    one block: the largest grid keeps 9636 nodes.  A center on the real axis sums
-    each mirror pair c, conj(c) as 2 Re(c c^dag) on the folded grid, so rho is the
-    real G_rr + G_ii.  Isotropic noise turns with a coherent center: that rho is
-    built at |alpha| and turned.
+    Without a grid it is exact, W W^dag over the d columns of _gaussian_factor; with
+    one, the projector sum over its kept nodes.  With B = [Re; Im] of the columns,
+    rho is (G_rr + G_ii) + i (G_ir - G_ri) for G = B B^T, written straight into its
+    real and imaginary parts; a real W, or a grid folded on its mirror, has the real
+    G_rr + G_ii.  A coherent center under isotropic noise is built at |alpha| and turned.
     """
     _check_type("mixture", mixture, GaussianMixtureState)
     center, noise = mixture.center, mixture.noise
     cutoff = default_cutoff(center, noise) if cutoff is None else cutoff
     _check_int("cutoff", cutoff, 1, maximum=CUTOFF_LIMIT)
-    if grid is None:
-        grid = _default_grid(center, noise)
-    _check_type("grid", grid, QuadratureGrid)
     alpha, phi = center.alpha, 0.0
     if center.r == 0 and noise.is_isotropic and alpha.imag:
         # |alpha| past the float range is inf in hypot: its column is 0 in floats anyway
         alpha, phi = min(math.hypot(alpha.real, alpha.imag), np.finfo(float).max), np.angle(alpha)
-    folded = not alpha.imag
-    tx, tp, roots = _kept_grid(grid.nodes_per_axis, noise.var_x != 0, noise.var_p != 0, folded)
-    bx, bp = math.sqrt(float(noise.var_x)) * tx, math.sqrt(float(noise.var_p)) * tp
-    d = cutoff + 1
-    block = _fock_columns(alpha + (bx + 1j * bp), center.r, cutoff, roots)
-    if folded:  # symmetric products on the contiguous halves Re and Im
-        rho = block[:d] @ block[:d].T + block[d:] @ block[d:].T
+    folded, d = not alpha.imag, cutoff + 1
+    if grid is None:
+        block = _gaussian_factor(mixture, alpha, d)
+    else:
+        _check_type("grid", grid, QuadratureGrid)
+        tx, tp, roots = _kept_grid(grid.nodes_per_axis, noise.var_x != 0, noise.var_p != 0, folded)
+        bx, bp = math.sqrt(float(noise.var_x)) * tx, math.sqrt(float(noise.var_p)) * tp
+        block = _fock_columns(alpha + (bx + 1j * bp), center.r, cutoff, roots)
+    if folded:  # symmetric products on the contiguous halves Re and Im; a real W has no Im
+        re, im = block[:d], block[d:]
+        rho = re @ re.T + im @ im.T if im.size else re @ re.T
         rho = _turn(rho, phi) if phi else rho
     else:
         gram = block @ block.T
@@ -477,10 +476,10 @@ def cascade_density_check(
 ) -> float:
     """Max-abs entrywise gap between a cascaded channel and summed-noise mixing.
 
-    Both routes are mixture_density_matrix builds on ``grid``, by default each
-    the grid its noise needs (_default_grid), and the summed one is built and
-    judged first.  Route two is the single mixture with the componentwise noise
-    sum, at ``cutoff`` or its default cutoff; a cutoff whose block drops more
+    Both routes are mixture_density_matrix builds, exact or on ``grid`` if one
+    is given, and the summed one is built and judged first.  Route two is the
+    single mixture with the componentwise noise sum, at ``cutoff`` or its
+    default cutoff; a cutoff whose block drops more
     than DEFAULT_EPS_TRUNC of its trace raises TruncationError there.  Route one
     builds the first mixture at that cutoff (with less noise, it drops less),
     puts it into a basis of _PADDING * (cutoff + 1) states, and applies the

@@ -189,10 +189,11 @@ def verify_fock(
     ``tolerance`` gates the oracle-vs-closed-form fidelity checks; the
     physicality, moment, additivity and convergence tolerances are fixed.
     A negative tolerance fails its checks; a NaN or infinite one, which
-    no check could fail, is rejected.  ``nodes`` fixes one Gauss-Hermite
-    grid for every mixture, whose error no verdict judges; by default each
-    mixture takes the grid its noise needs (``fock_oracle._default_grid``),
-    at most DEFAULT_NODES per axis for every state of this suite.  The
+    no check could fail, is rejected.  By default every mixture is built
+    exactly, and the convergence check compares that build with the other
+    route, the projector sum on 2 * DEFAULT_NODES per axis at twice the cutoff.
+    ``nodes`` builds every mixture as the projector sum on that grid, whose
+    error no verdict judges, and the convergence check doubles it.  The
     cascade channel takes no grid: it averages its shifts in closed form.
     """
     tolerance = quadrature_core._as_amplitude(tolerance, "tolerance", real=True).real
@@ -238,6 +239,8 @@ def verify_fock(
     add(_close("moments: mean_x of center 1+1j", math.sqrt(2.0), moments.mean_x, 1e-6))
     add(_close("moments: mean_p of center 1+1j", math.sqrt(2.0), moments.mean_p, 1e-6))
     add(_close("moments: var_x of center 1+1j + noise 1", 1.5, moments.var_x, 1e-6))
+    f_base, base_rho = oracle[1, 2, 1 + 0j]
+    del oracle, rhos  # the doubled projector sum below is the suite's largest array
 
     vacuum = CoherentState(0j)
     for i, (first, second) in enumerate(ADDITIVITY_PAIRS, start=1):
@@ -245,11 +248,9 @@ def verify_fock(
         tol = 0.0 if second.is_zero else 1e-6
         add(_close(f"cascade additivity pair {i}", 0.0, diff, tol))
 
-    f_base, base_rho = oracle[1, 2, 1 + 0j]
     ref_mix = cloner.clone_reduced_output(optimal_cloner(1, 2), CoherentState(1 + 0j))
-    base_nodes = (grid or fock_oracle._default_grid(ref_mix.center, ref_mix.noise)).nodes_per_axis
-    f_fine, _ = _oracle_fidelity(ref_mix, fock_oracle.QuadratureGrid(2 * base_nodes),
-                                 2 * base_rho.cutoff)
+    fine = fock_oracle.QuadratureGrid(2 * (nodes or quadrature_core.DEFAULT_NODES))
+    f_fine, _ = _oracle_fidelity(ref_mix, fine, 2 * base_rho.cutoff)
     add(_close("convergence under doubled cutoff and grid", 0.0, abs(f_fine - f_base), 1e-7))
 
     spec = cloner.squeezed_variant(1, 2, 0.5)

@@ -824,7 +824,7 @@ class TestProjectorSum:
         (CoherentState(1.5), NoiseCovariance(0.5, 0.5), None, False),
         (CoherentState(1 + 1j), NoiseCovariance(0.5, 0.5), None, True),
         (CoherentState(2 - 1j), NoiseCovariance(0.5, 0.5), None, True),
-        # at noise 1 the default 41 nodes miss by about 1e-13, a quadrature error
+        # None is the exact build; at noise 1 the 41-node sum misses by about 1e-13
         (CoherentState(0), NoiseCovariance(1, 1), FINE_GRID, False),
         (CoherentState(1.5), NoiseCovariance(1, 1), FINE_GRID, False),
         (CoherentState(1 + 1j), NoiseCovariance(1, 1), FINE_GRID, True),
@@ -880,7 +880,7 @@ class TestProjectorSum:
 
 #: Coherent and squeezed centres, isotropic noise from 1e-4 to 1.5, anisotropic noise
 #: (one axis zero in two of them) and the squeezed variant's matched noise.
-DEFAULT_GRID_STATES = [
+MIXTURE_STATES = [
     (CoherentState(0), NoiseCovariance(1e-4, 1e-4)),
     (CoherentState(1 + 1j), NoiseCovariance(1e-2, 1e-2)),
     (CoherentState(2 - 1j), NoiseCovariance(1 / 6, 1 / 6)),
@@ -909,52 +909,104 @@ DEFAULT_GRID_STATES = [
 ]
 
 
-class TestDefaultGrid:
-    @pytest.mark.parametrize("center, noise", DEFAULT_GRID_STATES, ids=[
-        f"{c.alpha:g},r={c.r:g},V=({float(n.var_x):.3g},{float(n.var_p):.3g})"
-        for c, n in DEFAULT_GRID_STATES])
-    def test_is_as_close_to_101_nodes_as_the_full_grid(self, center, noise):
+#: The sweep the exact build is checked over: centres on and off the axes, squeezed either
+#: way, pure and under isotropic noise.
+SWEEP = [(SqueezedState(alpha, r), NoiseCovariance(v, v))
+         for alpha in (0, 1, 2, -2j, 1 - 2j, 3, 3j)
+         for r in (0.5, -0.5, 0.8, -0.8, 1.2, -1.2, 1.5, -1.5) for v in (0, 0.3, 1)]
+
+
+def sweep_ids(states):
+    return [f"{c.alpha:g},r={c.r:g},V={float(n.var_x):g}" for c, n in states]
+
+
+def unresolved_by_101_nodes(center, noise):
+    """Squeezed centres under noise not squeezed with them, where 101 nodes miss by 1e-10 to 2e-4."""
+    return (noise.var_x == 1 and abs(center.r) >= 0.8) or (noise.var_x == 0.3 and abs(center.r) == 1.5)
+
+
+#: Of those, a centre on the real axis and one off both axes: the 370-node sums are the costly ones.
+HEAVY = [(c, n) for c, n in SWEEP if unresolved_by_101_nodes(c, n) and c.alpha in (0, 1 - 2j)]
+
+
+class TestExactBuild:
+    @pytest.mark.parametrize("center, noise", SWEEP, ids=sweep_ids(SWEEP))
+    def test_matches_the_row_stepped_reference(self, center, noise):
         cutoff = default_cutoff(center, noise)
-        grid = fock_oracle._default_grid(center, noise)
-        if grid.nodes_per_axis > fock_oracle.DEFAULT_NODES:
-            # 41 nodes leave these above 1e-8, so 101 are no reference: the exact rho is.
-            rho = built_rho(center, noise, grid, cutoff)
-            assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-8
+        want = _exact_gaussian_rho(center, noise, cutoff)
+        if 1 - np.trace(want).real > fock_oracle.DEFAULT_EPS_TRUNC:
+            # 3 and 3j squeezed by 1.5 along their axis under noise 1 lose 1.5e-8 at the cap
+            with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
+                mixture_density_matrix(GaussianMixtureState(center, noise))
             return
+        rho = mixture_density_matrix(GaussianMixtureState(center, noise))
+        # measured 4.4e-16, and 1.4e-15 for a pure state: a lone column in both, stepped on
+        # numbers that round apart
+        assert np.max(np.abs(rho.matrix - want)) <= (4e-15 if noise.is_zero else 2e-15)
+
+    RESOLVED = [(c, n) for c, n in SWEEP if not unresolved_by_101_nodes(c, n)
+                and default_cutoff(c, n) < fock_oracle.CUTOFF_MAX]
+
+    @pytest.mark.parametrize("center, noise", RESOLVED, ids=sweep_ids(RESOLVED))
+    def test_matches_the_101_node_sum(self, center, noise):
+        cutoff = default_cutoff(center, noise)
+        want = built_rho(center, noise, QuadratureGrid(101), cutoff)
+        assert np.max(np.abs(built_rho(center, noise, None, cutoff) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("center, noise", HEAVY, ids=sweep_ids(HEAVY))
+    def test_matches_the_370_node_sum(self, center, noise):
+        # r = +-1.5 under noise 1 is where the 370-node rule itself misses, by 2e-10
+        cutoff = default_cutoff(center, noise)
+        want = built_rho(center, noise, QuadratureGrid(fock_oracle.NODES_LIMIT), cutoff)
+        tolerance = 2.5e-10 if abs(center.r) == 1.5 and noise.var_x == 1 else 2e-15
+        assert np.max(np.abs(built_rho(center, noise, None, cutoff) - want)) <= tolerance
+
+    @pytest.mark.parametrize("center, noise", MIXTURE_STATES, ids=[
+        f"{c.alpha:g},r={c.r:g},V=({float(n.var_x):.3g},{float(n.var_p):.3g})"
+        for c, n in MIXTURE_STATES])
+    def test_is_as_close_to_101_nodes_as_the_41_node_sum(self, center, noise):
+        cutoff = default_cutoff(center, noise)
         want = built_rho(center, noise, QuadratureGrid(101), cutoff)
 
-        def error(g):
-            return np.max(np.abs(built_rho(center, noise, g, cutoff) - want))
+        def error(grid):
+            return np.max(np.abs(built_rho(center, noise, grid, cutoff) - want))
 
-        assert error(grid) <= max(2e-15, error(QuadratureGrid()))
+        assert error(None) <= max(2e-15, error(QuadratureGrid()))
 
-    @pytest.mark.parametrize("variance, nodes", [(1e-4, 4), (1 / 6, 19), (0.5, 33), (1.0, 41)])
-    def test_coherent_counts(self, variance, nodes):
-        # the fewest n with 0.5 (V / (V + 1))^n <= 1e-16
-        assert fock_oracle._default_grid(CoherentState(2j), NoiseCovariance(variance, variance)) \
-            == QuadratureGrid(nodes)
+    @pytest.mark.parametrize("alpha", [0, 1 + 1j, 5 - 3j, 10, 10j, 7 + 7j])
+    @pytest.mark.parametrize("r", [0.0, 0.5, -0.6, 0.6])
+    def test_a_pure_state_is_the_outer_product_of_its_column(self, alpha, r):
+        center = SqueezedState(alpha, r)
+        cutoff = default_cutoff(center)
+        block = fock_oracle._fock_columns([alpha], r, cutoff)
+        vec = block[:cutoff + 1, 0] + 1j * block[cutoff + 1:, 0]
+        rho = mixture_density_matrix(GaussianMixtureState(center, NoiseCovariance(0, 0)))
+        assert np.max(np.abs(rho.matrix - np.outer(vec, vec.conj()))) <= 4e-15
 
-    def test_a_squeezed_axis_takes_twice_its_variance(self):
-        # Q = e^{-2r} on the squeezed p axis, not its Husimi variance e^{-2r}/2 + 1/2:
-        # at r = 1.2 and noise 0.1 the 20 nodes the latter gives miss by about 1e-7.
-        assert fock_oracle._default_grid(SqueezedState(0, 1.2), NoiseCovariance(0, 0.1)) \
-            == QuadratureGrid()
+    @pytest.mark.parametrize("r", [0.0, 0.3, -1.5, 14.0, -20.0])
+    def test_a_pure_state_has_one_column(self, r):
+        # c = (V_x n_p + n_x v_p) / (S_x S_p) is 0, not a rounding below it that c^(k/2) makes NaN
+        mixture = GaussianMixtureState(SqueezedState(1 - 1j, r), NoiseCovariance(0, 0))
+        block = fock_oracle._gaussian_factor(mixture, mixture.center.alpha, 40)
+        assert np.all(np.isfinite(block)) and np.all(block[:, 1:] == 0) and block[0, 0] > 0
 
-    @pytest.mark.parametrize("center, noise", [
-        (CoherentState(0), NoiseCovariance(0, 0)),
-        (SqueezedState(1, 0.5), NoiseCovariance(0, 0)),
-        (CoherentState(0), NoiseCovariance(1e308, 1e308)),
-        (SqueezedState(0, -1.5), NoiseCovariance(1e308, 0)),
-    ], ids=["zero", "zero squeezed", "1e308", "1e308 on x"])
-    def test_zero_and_float_limit_noise_take_the_default_nodes(self, center, noise):
-        assert fock_oracle._default_grid(center, noise) == QuadratureGrid()
+    def test_a_squeezed_centre_past_every_grid_model_builds(self):
+        # an error model of 0.5 f^n asks for more than NODES_LIMIT nodes here
+        center, noise = SqueezedState(0, 1.6), NoiseCovariance(1, 1)
+        rho = mixture_density_matrix(GaussianMixtureState(center, noise))
+        assert rho.cutoff == fock_oracle.CUTOFF_MAX
+        assert 1 - rho.trace() <= 5.5e-10
+        want = built_rho(center, noise, QuadratureGrid(fock_oracle.NODES_LIMIT), rho.cutoff)
+        assert np.max(np.abs(rho.matrix - want)) <= 5e-9
 
-    def test_mixture_builds_on_it(self):
-        mix = make_mixture(1 - 1j, 1 / 6)
-        grid = fock_oracle._default_grid(mix.center, mix.noise)
-        assert grid != QuadratureGrid()
-        want = mixture_density_matrix(mix, grid=grid).matrix
-        assert np.array_equal(mixture_density_matrix(mix).matrix, want)
+    def test_the_pascal_roots_are_one_table(self):
+        for d in (30, 300, 120):
+            roots = fock_oracle._pascal_roots(d)
+            assert roots.shape == (d, d) and not roots.flags.writeable
+            want = [[math.sqrt(math.comb(m, k)) for k in range(d)] for m in range(d)]
+            assert np.allclose(roots, want, rtol=1e-15, atol=0)
+        # a block past CUTOFF_MAX + 1 is built for its call alone
+        assert len(fock_oracle._pascal) <= fock_oracle.CUTOFF_MAX + 1
 
 
 #: Bargmann frame: the amplitude pair (conj z, w) of <<z| rho |w>> is L (x, p).
@@ -1008,23 +1060,21 @@ class TestExactReference:
         assert np.max(np.abs(rho - _exact_gaussian_rho(center, noise, cutoff))) <= 1e-13
 
     # Squeezed centres under noise not squeezed with them: 41 nodes miss the first
-    # four by 5.1e-3, 2.3e-7, 9.3e-4 and 8.8e-6.
-    @pytest.mark.parametrize("center, noise, nodes", [
-        (SqueezedState(0, 1.5), NoiseCovariance(1, 1), 365),
-        (SqueezedState(0, 0.5), NoiseCovariance(1, 1), 57),
-        (SqueezedState(0.3, 0.9), NoiseCovariance(1.5, 1.5), 170),
-        (SqueezedState(1j, 0.6), NoiseCovariance(0.02, 1.2), 80),
-        (SqueezedState(0, 1.6), NoiseCovariance(0.3, 0.3), 140),
+    # four by 5.1e-3, 2.3e-7, 9.3e-4 and 8.8e-6, and 57 to 365 nodes come within 1e-8.
+    @pytest.mark.parametrize("center, noise", [
+        (SqueezedState(0, 1.5), NoiseCovariance(1, 1)),
+        (SqueezedState(0, 0.5), NoiseCovariance(1, 1)),
+        (SqueezedState(0.3, 0.9), NoiseCovariance(1.5, 1.5)),
+        (SqueezedState(1j, 0.6), NoiseCovariance(0.02, 1.2)),
+        (SqueezedState(0, 1.6), NoiseCovariance(0.3, 0.3)),
     ])
-    def test_default_build_is_within_1e_8(self, center, noise, nodes):
-        assert fock_oracle._default_grid(center, noise) == QuadratureGrid(nodes)
+    def test_default_build_matches_it(self, center, noise):
         rho = mixture_density_matrix(GaussianMixtureState(center, noise))
-        assert np.max(np.abs(rho.matrix - _exact_gaussian_rho(center, noise, rho.cutoff))) <= 1e-8
+        assert np.max(np.abs(rho.matrix - _exact_gaussian_rho(center, noise, rho.cutoff))) <= 2e-15
 
-    def test_a_mixture_no_grid_resolves_names_the_node_count(self):
+    def test_a_mixture_past_the_cutoff_cap_names_the_cutoff(self):
         mixture = GaussianMixtureState(SqueezedState(0, 5), NoiseCovariance(0.5, 0.5))
-        with pytest.raises(TruncationError,
-                           match=r"^node count 370 is too small: the quadrature error 0\.5 f\^n is "):
+        with pytest.raises(TruncationError, match=truncated("the trace lost by the mixture")):
             mixture_density_matrix(mixture)
 
 

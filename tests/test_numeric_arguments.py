@@ -163,6 +163,15 @@ def returns_finite_or_raises_sgclone_error(fn, args):
 @example(call=(squeeze_fock_matrix, (1.7976931348623157e308, 32)))  # r lam overflows
 @example(call=(default_cutoff, (SqueezedState(0, 400),)))  # e^{2r}/2 overflows
 @example(call=(mixture_density_matrix, (GaussianMixtureState(SqueezedState(0, 5), HALF),)))
+# the exact build at the float limit: a mean whose c_0 underflows, noise and squeezing
+# whose variances reach 1e308 and 1e260, and a pure state squeezed past |r| = 14.7
+@example(call=(mixture_density_matrix, (GaussianMixtureState(
+    CoherentState(1.7e308 + 1.7e308j), NoiseCovariance(1e308, 1e308)),)))
+@example(call=(mixture_density_matrix, (GaussianMixtureState(
+    SqueezedState(-1e300, 300), NoiseCovariance(0, 1e308)),)))
+@example(call=(mixture_density_matrix, (GaussianMixtureState(
+    SqueezedState(1e154j, -20), NoiseCovariance(0, 0)), 1024)))
+@example(call=(cascade_density_check, (SqueezedState(1e200, 1.0), HALF, NoiseCovariance(1e308, 0))))
 @example(call=(cascade_density_check, (CoherentState(0), HALF, NoiseCovariance(1e308, 1e308))))
 @given(call=calls(CASES))
 def test_numeric_arguments_return_or_raise_sgclone_error(call):

@@ -16,11 +16,15 @@ and ``verify`` import numpy and ``fock_oracle`` inside the functions that
 draw numbers or build arrays, so their bounds and argument checks load none.
 Every value class derives from ``quadrature_core._Value``, so no module imports
 ``dataclasses``, in a function body or not, and no class is a ``@dataclass``.
-``fock_oracle._check_truncation`` is the one verdict on what the cutoff or the
-default grid loses: the two truncation limits are only its arguments, but
-where the default grid counts its nodes to meet one, and it alone raises
+``fock_oracle._check_truncation`` is the one verdict on what the cutoff
+loses: the two truncation limits are only its arguments, and it alone raises
 ``TruncationError``; the declared squeezing range ``MAX_SQUEEZING`` and its
-clamp ``_center_variances`` are gone.  Every
+clamp ``_center_variances``, and the default grid ``_default_grid`` with its
+error model and ``_GRID_EPS``, are gone.  The exact mixture build,
+``_gaussian_factor`` with ``_column`` and ``_pascal_roots``, reads only the
+mixture's mean and covariance: ``fock_oracle`` names none of the closed-form
+fidelities and imports nothing of ``cloner``, and the build calls no
+``hermgauss``.  Every
 Fock column comes from ``fock_oracle._fock_columns``: no function calls
 ``squeeze_fock_matrix``, the route the columns are tested against, and the
 squeezed frame of an earlier build path, ``_squeezed_frame``, is gone.  The
@@ -172,9 +176,7 @@ def test_fock_oracle_has_one_truncation_verdict():
             if isinstance(node, ast.Name) and node.id in TRUNCATION_LIMITS
             and isinstance(node.ctx, ast.Load)]
     assert {node.id for node in uses} == TRUNCATION_LIMITS
-    # The one use outside a verdict: the default grid counts its nodes to meet the limit.
-    assert [(owner(node)[0], ast.unparse(parent[node])) for node in uses if not judged(node)] \
-        == [("_default_grid", "(_GRID_EPS, DEFAULT_EPS_TRUNC)")]
+    assert [(owner(node)[0], ast.unparse(parent[node])) for node in uses if not judged(node)] == []
     raises = [owner(node) for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and "TruncationError" in ast.unparse(node.exc)]
     assert raises == [("_check_truncation", "not value <= limit")]
@@ -221,6 +223,16 @@ def test_kept_grid_alone_reads_the_rule():
     assert len(_calls(_oracle_definition("_kept_grid"), "hermgauss")) == 1
 
 
+def test_the_exact_build_reads_no_closed_form_and_no_quadrature():
+    # Its one route to the state is the mean and covariance, never the fidelity it is checked on.
+    source = (PACKAGE / "fock_oracle.py").read_text()
+    assert re.findall(r"\b(optimal_fidelity|fidelity_from_variance|mixture_fidelity)\b", source) == []
+    assert "cloner" not in _imported_on_import(PACKAGE / "fock_oracle.py")
+    for name in ("_gaussian_factor", "_column", "_pascal_roots"):
+        definition = _oracle_definition(name)
+        assert _calls(definition, "hermgauss") == _calls(definition, "_kept_grid") == [], name
+
+
 def test_projector_sum_is_one_block():
     loops = [ast.unparse(node) for node in ast.walk(_oracle_definition("mixture_density_matrix"))
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
@@ -229,7 +241,7 @@ def test_projector_sum_is_one_block():
 
 @pytest.mark.parametrize("name", [
     "_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances", "_kept_nodes", "_kept_mask",
-    "_hermgauss", "_GRID_CACHE", "axis_nodes", "_projector_sum",
+    "_hermgauss", "_GRID_CACHE", "axis_nodes", "_projector_sum", "_default_grid", "_GRID_EPS",
 ])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))

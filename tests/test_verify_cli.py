@@ -45,21 +45,38 @@ class TestVerifySuites:
         with pytest.raises(DomainError, match=rf"^{option} must .*, {limit // 2}\], got {given}$"):
             verify_fock(**{option: given})
 
-    def test_fock_suite_defaults_to_the_oracle_grid(self, monkeypatch):
-        # None: each state resolves its own grid through _default_grid; given nodes fix one grid
+    def test_fock_suite_builds_exactly_by_default(self, monkeypatch):
+        # None: every mixture is built exactly, and the one projector sum is the convergence
+        # check's, on twice DEFAULT_NODES; given nodes, every mixture is a projector sum
         nodes = inspect.signature(verify_fock).parameters["nodes"].default
         assert nodes is None
-        calls = []
-        default_grid = fock_oracle._default_grid
-
-        def counted(center, noise):
-            calls.append(noise)
-            return default_grid(center, noise)
-
-        monkeypatch.setattr(fock_oracle, "_default_grid", counted)
+        exact, grids = [], []
+        factor, kept = fock_oracle._gaussian_factor, fock_oracle._kept_grid
+        monkeypatch.setattr(fock_oracle, "_gaussian_factor",
+                            lambda *args: exact.append(args) or factor(*args))
+        monkeypatch.setattr(fock_oracle, "_kept_grid",
+                            lambda nodes, *args: grids.append(nodes) or kept(nodes, *args))
         verify_fock(nodes=21)
-        assert calls == []
-        assert verify_fock().overall and calls
+        assert exact == [] and set(grids) == {21, 42}
+        grids.clear()
+        assert verify_fock().overall and exact
+        assert grids == [2 * fock_oracle.DEFAULT_NODES]
+
+    @pytest.mark.parametrize("route", ["exact", "projector sum"])
+    def test_a_fault_on_one_route_fails_the_convergence_check(self, monkeypatch, capsys, route):
+        # The default build and the doubled projector sum are independent routes: rho scaled
+        # by 1 + 2e-7 on one of them moves the (1,2) fidelity by 1.3e-7, past 1e-7.
+        root = math.sqrt(1 + 2e-7)
+        if route == "exact":
+            factor = fock_oracle._gaussian_factor
+            monkeypatch.setattr(fock_oracle, "_gaussian_factor", lambda *args: factor(*args) * root)
+        else:
+            kept = fock_oracle._kept_grid
+            monkeypatch.setattr(fock_oracle, "_kept_grid",
+                                lambda *args: (*kept(*args)[:2], kept(*args)[2] * root))
+        assert main(["verify-fock", "--format", "json"]) == 1
+        failed = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["pass"]}
+        assert failed == {"convergence under doubled cutoff and grid"}
 
     @pytest.mark.parametrize("suite", [verify_fock, lambda: verify_mc(samples=1000)],
                              ids=["verify_fock", "verify_mc"])
@@ -67,8 +84,10 @@ class TestVerifySuites:
         caches = (fock_oracle._kept_grid, fock_oracle._spectrum, estimation_bounds._outcome_pmfs)
         suite()
         misses = [cache.cache_info().misses for cache in caches]
+        pascal = fock_oracle._pascal
         suite()
         assert [cache.cache_info().misses for cache in caches] == misses
+        assert fock_oracle._pascal is pascal
 
     def test_fock_suite_fails_with_corrupted_tolerance(self):
         report = verify_fock(tolerance=-1.0, nodes=21)
