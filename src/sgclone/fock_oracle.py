@@ -2,7 +2,8 @@
 
 Everything here rebuilds states and operators numerically, independently of
 the closed-form layer: displaced squeezed vectors D(alpha) S(r)|0> from one
-three-term recurrence in the number basis, exact entry by entry, mixtures
+three-term recurrence in the number basis, exact entry by entry, which a lone
+column without its z^2 term takes as one running product (_column), mixtures
 exactly or as Gauss-Hermite projector sums, moments read off three diagonals
 of rho, homodyne pmfs of x and p on a grid of bins (what the Monte Carlo
 simulations draw from), and the cascade channel, which averages its Gaussian
@@ -25,7 +26,9 @@ has the coefficient sqrt(m! / (m-k)!) u_(m-k) at z^m / sqrt(m!), so
 exact on the cutoff block, as k <= min(m, n) there; the roots come from one
 table, _pascal_roots.  As v_x v_p = 1/4, c = (V_x n_p + n_x v_p) / (S_x S_p):
 in [0, 1), 0 for a pure state, and no difference of near-equal numbers.  The
-sum runs over d = cutoff + 1 columns, not hundreds of quadrature nodes.
+sum runs over d = cutoff + 1 columns, not hundreds of quadrature nodes.  W's
+Toeplitz factor u_(m-k), like the phases of a turn (_turn, _quarter_turn), is
+one read-only strided view of a row of 2d - 1 numbers (_toeplitz).
 
 Given a grid, rho is the paper's mixture by definition, the projector sum
 (1/pi) sum_jk w_j w_k P(alpha + sqrt(n_x) t_j + i sqrt(n_p) t_k) over the
@@ -111,10 +114,18 @@ def _spectrum(dim: int, generator: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
+def _toeplitz(row: np.ndarray, d: int) -> np.ndarray:
+    """The read-only d x d view [..., m, k] = row[..., d - 1 + m - k] of rows of length 2 d - 1."""
+    step = row.strides[-1]
+    return np.lib.stride_tricks.as_strided(row[..., d - 1:], row.shape[:-1] + (d, d),
+                                           row.strides[:-1] + (step, -step), writeable=False)
+
+
 def _quarter_turn(rho: np.ndarray, k: int) -> np.ndarray:
-    """R^k rho R^-k for R = diag(i^n): entry (m, n) times i^(k (m - n)), exact."""
-    n = np.arange(rho.shape[0])
-    return rho * np.array([1, 1j, -1, -1j])[(k * (n[:, None] - n)) % 4]
+    """R^k rho R^-k for R = diag(i^n): entry (m, n) times i^(k (m - n)), exact, rho times the
+    Toeplitz view of i^(k j) for j = 1 - d ... d - 1."""
+    d = rho.shape[0]
+    return rho * _toeplitz(np.array([1, 1j, -1, -1j])[(k * np.arange(1 - d, d)) % 4], d)
 
 
 class QuadratureGrid(_Value):
@@ -231,7 +242,7 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     block = np.empty((2 * d, alphas.size))
     if alphas.size == 1:
         col = _column(b.item(), t, c0.item(), d)
-        block[:d, 0], block[d:, 0] = np.real(col), np.imag(col)
+        block[:d, 0], block[d:, 0] = col.real, col.imag
         return block
     rows = np.empty((3, alphas.size), dtype=complex)
     rows[0] = c0
@@ -250,13 +261,18 @@ def _fock_columns(alphas, r: float, cutoff: int, scale=1.0) -> np.ndarray:
     return block
 
 
-def _column(b: complex, t: float, c0: complex, d: int) -> list:
-    """c_0 ... c_{d-1} of c0 exp(-t z^2/2 + b z) in the number basis, c_n = (b c_{n-1} - t sqrt(n-1)
-    c_{n-2}) / sqrt(n), on Python complex numbers: a tenth of the cost of one-element numpy."""
+def _column(b: complex, t: float, c0: complex, d: int) -> np.ndarray:
+    """c_0 ... c_{d-1} of c0 exp(-t z^2/2 + b z) in the number basis.  At t = 0, one cumprod of
+    the running product c_n = c_{n-1} b / sqrt(n); else c_n = (b c_{n-1} - t sqrt(n-1) c_{n-2})
+    / sqrt(n), stepped on Python complex numbers: a tenth of the cost of one-element numpy."""
+    if not t:
+        steps = np.empty(d, dtype=complex)
+        steps[0], steps[1:] = c0, b / np.sqrt(np.arange(1.0, d))
+        return np.cumprod(steps)
     col = [0j, c0]  # c_{-1} = 0: sqrt(n - 1) zeroes it at n = 1
     for n in range(1, d):
         col.append((col[-1] * b - t * math.sqrt(n - 1) * col[-2]) * (1.0 / math.sqrt(n)))
-    return col[1:]
+    return np.array(col[1:])
 
 
 def _check_truncation(what: str, value: float, limit: float, cutoff: int) -> None:
@@ -363,21 +379,19 @@ def _gaussian_factor(mixture: GaussianMixtureState, alpha: complex, d: int) -> n
     s_x, s_p, x, y = big_x + 0.5, big_p + 0.5, float(alpha.real), float(alpha.imag)
     c = big_x / s_x * (n_p / s_p) + n_x / s_x * (v_p / s_p)
     c0 = math.exp(-0.5 * (x * (x / s_x) + y * (y / s_p))) * s_x**-0.25 * s_p**-0.25
-    u = np.array(_column(complex(x / s_x, y / s_p), 0.5 * (1 / s_x - 1 / s_p), c0, d) if c0
-                 else [0j] * d)
+    u = (_column(complex(x / s_x, y / s_p), 0.5 * (1 / s_x - 1 / s_p), c0, d) if c0
+         else np.zeros(d, dtype=complex))
     padded = np.zeros((2 if y else 1, 2 * d - 1))
     padded[:, d - 1:] = (u.real, u.imag) if y else u.real
     # [h, m, k] = u_(m-k), and 0 for k > m: the lower-triangular Toeplitz matrix of u
-    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, d, axis=1)[:, :, ::-1]
-    return (toeplitz * (_pascal_roots(d) * c ** (0.5 * np.arange(d)))).reshape(-1, d)
+    return (_toeplitz(padded, d) * (_pascal_roots(d) * c ** (0.5 * np.arange(d)))).reshape(-1, d)
 
 
 def _turn(rho: np.ndarray, phi: float) -> np.ndarray:
-    """rho_mn e^{i phi k}, k = m - n, Hermitian to the bit: e^{-i phi k} is conj(e^{i phi k})."""
-    n = np.arange(rho.shape[0])
-    k = n[:, None] - n
-    turn = np.exp(1j * phi * n)[abs(k)]
-    return rho * np.where(k < 0, turn.conj(), turn)
+    """rho_mn e^{i phi k}, k = m - n, Hermitian to the bit: rho times the Toeplitz view of
+    conj(e^{i phi (d-1)}), ..., 1, ..., e^{i phi (d-1)}, as e^{-i phi k} is conj(e^{i phi k})."""
+    turn = np.exp(1j * phi * np.arange(rho.shape[0]))
+    return rho * _toeplitz(np.concatenate((turn[:0:-1].conj(), turn)), rho.shape[0])
 
 
 def mixture_density_matrix(

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1131,3 +1132,65 @@ class TestFockColumns:
         rho = mixture_density_matrix(GaussianMixtureState(center, NoiseCovariance(0, 0)), cutoff)
         vec = squeezed_fock_vector(center.alpha, center.r, cutoff).amplitudes
         assert np.max(np.abs(rho.matrix - np.outer(vec, vec.conj()))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [21, 100, 257])
+    @pytest.mark.parametrize("phase", [0.0, 0.9, 2.2, -1.3, -math.pi / 2])
+    def test_running_product_matches_the_row_stepped_recurrence(self, d, phase):
+        # At t = 0 _column is one cumprod of c0, b/sqrt(1), ...; the reference steps row by row.
+        alphas = np.geomspace(0.1, 38, 25) * np.exp(1j * phase)
+        want = _divided_columns(alphas, 0.0, d - 1, 1.0)
+        for j, a in enumerate(alphas):
+            got = fock_oracle._column(complex(a), 0.0, complex(want[0, j]), d)
+            assert isinstance(got, np.ndarray) and got.shape == (d,)
+            assert np.max(np.abs(got - want[:, j])) <= 1e-15, abs(a)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3], ids=["running product", "recurrence"])
+    def test_an_underflowed_c0_is_a_zero_column(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col = fock_oracle._column(38 - 20j, t, 0.0, 257)
+        assert isinstance(col, np.ndarray) and col.dtype == complex
+        assert col.shape == (257,) and np.all(col == 0)
+
+
+def _indexed_turn(rho, phi):
+    """rho_mn e^{i phi (m - n)} from d x d index arrays, the conjugate below the diagonal."""
+    n = np.arange(rho.shape[0])
+    k = n[:, None] - n
+    turn = np.exp(1j * phi * n)[abs(k)]
+    return rho * np.where(k < 0, turn.conj(), turn)
+
+
+def _indexed_quarter_turn(rho, k):
+    """rho_mn i^(k (m - n)) from a d x d index array into the four powers of i."""
+    n = np.arange(rho.shape[0])
+    return rho * np.array([1, 1j, -1, -1j])[(k * (n[:, None] - n)) % 4]
+
+
+class TestToeplitzView:
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (2, 9), (3, 2, 41)])
+    def test_matches_the_index_construction(self, shape):
+        row = np.random.default_rng(37).standard_normal(shape)
+        d = (shape[-1] + 1) // 2
+        m = np.arange(d)
+        view = fock_oracle._toeplitz(row, d)
+        assert view.shape == shape[:-1] + (d, d)
+        assert np.array_equal(view, row[..., d - 1 + m[:, None] - m])
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[..., 0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [2, 41, 257])
+    @pytest.mark.parametrize("phi", [0.7, -0.7, math.pi])
+    def test_turn_is_the_index_formula_to_the_bit(self, d, phi):
+        # _turn's rho is a real Gram, and real times complex rounds alike in either operand
+        # order; a complex product need not, and numpy swaps the order to reuse a temporary.
+        rho = np.random.default_rng(d).standard_normal((d, d))
+        assert np.array_equal(fock_oracle._turn(rho, phi), _indexed_turn(rho, phi))
+
+    @pytest.mark.parametrize("d", [2, 41, 257])
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_quarter_turn_is_the_index_formula_to_the_bit(self, d, k):
+        rng = np.random.default_rng(d)
+        rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.array_equal(fock_oracle._quarter_turn(rho, k), _indexed_quarter_turn(rho, k))

@@ -40,7 +40,9 @@ call of numpy's ``hermgauss`` in the package; the masks ``_kept_nodes`` and
 ``_projector_sum`` are gone.  ``mixture_density_matrix`` sums one block with
 no loop, which ``_fock_columns`` writes row by row, so no ``concatenate``
 stacks it, and the chunk size ``_CHUNK`` and the ``_cascaded_density``
-helper are gone.
+helper are gone.  One read-only strided view, ``_toeplitz``, holds the one
+``as_strided`` call in the package and serves the exact build, the turn and
+the quarter turn, so ``sliding_window_view`` is gone.
 """
 
 import ast
@@ -223,6 +225,13 @@ def test_kept_grid_alone_reads_the_rule():
     assert len(_calls(_oracle_definition("_kept_grid"), "hermgauss")) == 1
 
 
+def test_toeplitz_alone_makes_a_strided_view():
+    calls = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for _ in _calls(ast.parse(path.read_text()), "as_strided")]
+    assert calls == ["fock_oracle.py"]
+    assert len(_calls(_oracle_definition("_toeplitz"), "as_strided")) == 1
+
+
 def test_the_exact_build_reads_no_closed_form_and_no_quadrature():
     # Its one route to the state is the mean and covariance, never the fidelity it is checked on.
     source = (PACKAGE / "fock_oracle.py").read_text()
@@ -242,6 +251,7 @@ def test_projector_sum_is_one_block():
 @pytest.mark.parametrize("name", [
     "_CHUNK", "_cascaded_density", "MAX_SQUEEZING", "_center_variances", "_kept_nodes", "_kept_mask",
     "_hermgauss", "_GRID_CACHE", "axis_nodes", "_projector_sum", "_default_grid", "_GRID_EPS",
+    "sliding_window_view",
 ])
 def test_removed_oracle_names_are_gone(name):
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
